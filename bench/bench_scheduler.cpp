@@ -12,6 +12,13 @@
 //                    fast path).
 //   rearm         -- cancel + fresh schedule per move (the pre-reschedule
 //                    idiom, kept for comparison).
+//   timers+packets -- the backbone shape: 1,536 pending protocol timers,
+//                    one pushed out every other fire (RTO re-arm on ACK),
+//                    behind 48 self-re-posting fire-and-forget events
+//                    (link tx-completes/deliveries). Run twice: packet
+//                    events on the packet lane (post_at), then on the
+//                    timer lane (schedule_at, handle dropped), which is
+//                    the single-heap cost the lane split removes.
 //
 // Accepts the shared bench flags plus --quick (CI smoke: ~10x fewer ops).
 #include <chrono>
@@ -125,6 +132,59 @@ double rearm_one(long moves) {
   return static_cast<double>(moves) / secs;
 }
 
+// Shared state of the timers+packets pattern; PacketTick captures only a
+// pointer to it, like a link's {this, slot} completion event.
+struct LaneMix {
+  static constexpr int kTimers = 1536;
+  static constexpr int kPackets = 48;
+  Scheduler sched;
+  std::vector<EventHandle> timers;
+  long fired = 0;
+  long limit = 0;
+  std::size_t cursor = 0;
+  bool post = true;
+};
+
+struct PacketTick {
+  LaneMix* mix;
+  void operator()() const {
+    Scheduler& sched = mix->sched;
+    if (++mix->fired % 2 == 0) {
+      EventHandle& timer = mix->timers[mix->cursor++ % mix->timers.size()];
+      timer.reschedule(sched.now() + Time::milliseconds(200));
+    }
+    if (mix->fired + LaneMix::kPackets > mix->limit) return;
+    const Time next = sched.now() + Time::microseconds(LaneMix::kPackets);
+    if (mix->post) {
+      sched.post_at(next, PacketTick{mix});
+    } else {
+      sched.schedule_at(next, PacketTick{mix});
+    }
+  }
+};
+
+double timers_and_packets(long fires, bool post) {
+  LaneMix mix;
+  mix.sched.set_stats_fold(&bench::stats_registry().scheduler);
+  mix.limit = fires;
+  mix.post = post;
+  mix.timers.reserve(LaneMix::kTimers);
+  for (int i = 0; i < LaneMix::kTimers; ++i) {
+    mix.timers.push_back(mix.sched.schedule_at(
+        Time::seconds(1) + Time::microseconds(i), [] {}));
+  }
+  for (int i = 0; i < LaneMix::kPackets; ++i) {
+    mix.sched.post_at(Time::microseconds(i), PacketTick{&mix});
+  }
+  // Every timer is pushed out 200 ms at least every ~3 ms of simulated
+  // time, so none fires before the packet events run out; the rest are
+  // dropped with the scheduler, untimed.
+  const auto t0 = Clock::now();
+  mix.sched.run_until(Time::microseconds(fires));
+  const double secs = seconds_since(t0);
+  return static_cast<double>(mix.fired) / secs;
+}
+
 void run(const bench::BenchOptions& opt) {
   // --quick is the CI smoke preset: ~10x fewer ops (opt.scale still
   // multiplies the op counts, not the probe budget -- this bench has none).
@@ -143,6 +203,10 @@ void run(const bench::BenchOptions& opt) {
                  mops(reschedule_one(base))});
   table.add_row({"cancel+schedule rearm", std::to_string(base),
                  mops(rearm_one(base))});
+  table.add_row({"timers+packets, packets posted (1536 timers)",
+                 std::to_string(base), mops(timers_and_packets(base, true))});
+  table.add_row({"timers+packets, packets as timers (one heap)",
+                 std::to_string(base), mops(timers_and_packets(base, false))});
   bench::emit(table, opt, "Scheduler throughput");
 }
 

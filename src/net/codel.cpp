@@ -15,8 +15,7 @@ QOESIM_HOT bool CoDelQueue::do_enqueue(Packet&& p, Time /*now*/) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-  q_.push_back(std::move(p));
+  q_.push(std::move(p));
   return true;
 }
 
@@ -33,8 +32,7 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
     ok_sojourn = true;
     return std::nullopt;
   }
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop();
   bytes_ -= p.size_bytes;
 
   const Time sojourn = now - p.enqueued_at;

@@ -8,8 +8,7 @@
 // rate (§4.3 hysteresis) instead of restarting at one drop per interval.
 #pragma once
 
-#include <deque>
-
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 
 namespace qoesim::net {
@@ -41,7 +40,7 @@ class CoDelQueue final : public QueueDiscipline {
   Time control_law(Time t) const;
 
   CoDelParams params_;
-  std::deque<Packet> q_;
+  PacketRing q_;
   std::size_t bytes_ = 0;
 
   Time first_above_time_ = Time::zero();  // when sojourn first exceeded target

@@ -3,10 +3,9 @@
 // the Cisco linecard configuration of the testbeds (Table 2).
 #pragma once
 
-#include <deque>
-
 #include "sim/annotations.hpp"
 
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 
 namespace qoesim::net {
@@ -27,21 +26,19 @@ class DropTailQueue final : public QueueDiscipline {
       return false;
     }
     bytes_ += p.size_bytes;
-    // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-    q_.push_back(std::move(p));
+    q_.push(std::move(p));
     return true;
   }
 
   QOESIM_HOT std::optional<Packet> do_dequeue(Time /*now*/) override {
     if (q_.empty()) return std::nullopt;
-    Packet p = std::move(q_.front());
-    q_.pop_front();
+    Packet p = q_.pop();
     bytes_ -= p.size_bytes;
     return p;
   }
 
  private:
-  std::deque<Packet> q_;
+  PacketRing q_;
   std::size_t bytes_ = 0;
 };
 

@@ -34,9 +34,10 @@ QOESIM_HOT void Link::maybe_start_tx() {
   queue_delay_.add((sim_.now() - next->enqueued_at).sec());
   const Time tx = serialization_time(next->size_bytes);
   // The packet moves into a pooled slot; the completion event captures only
-  // {this, slot}, which stays inside SmallCallback's inline buffer.
+  // {this, slot}, which stays inside SmallCallback's inline buffer. It is
+  // never moved or cancelled, so it rides the scheduler's packet lane.
   const PacketPool::SlotId slot = pool_.acquire(std::move(*next));
-  sim_.after(tx, [this, slot] {
+  sim_.scheduler().post_at(sim_.now() + tx, [this, slot] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     on_tx_complete(slot);
   });
@@ -77,9 +78,9 @@ QOESIM_HOT void Link::arm_delivery(const WireRing::Entry& entry) {
   // event has just fired, so this reuses the just-freed arena slot (the
   // same pooled re-arm idiom as the periodic app timers) -- a fired event
   // cannot be rescheduled. The entry's reserved seq fixes the FIFO
-  // position; the handle is not kept because the event is never moved or
-  // cancelled.
-  sim_.scheduler().schedule_at_seq(entry.deliver_at, entry.seq, [this] {
+  // position; the event is never moved or cancelled, so it is posted on
+  // the packet lane without a handle.
+  sim_.scheduler().post_at_seq(entry.deliver_at, entry.seq, [this] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     drain_wire();
   });

@@ -27,10 +27,10 @@ void MailboxInbox::admit(Time when, std::uint64_t seq, Packet&& p) {
 }
 
 void MailboxInbox::arm(Time when, std::uint64_t seq) {
-  // Always a fresh schedule at the entry's reserved seq (the pooled
-  // re-arm idiom shared with Link::arm_delivery); the handle is not kept
+  // Always a fresh packet-lane post at the entry's reserved seq (the
+  // pooled re-arm idiom shared with Link::arm_delivery); no handle,
   // because the event is never moved or cancelled.
-  sim_.scheduler().schedule_at_seq(when, seq, [this] {
+  sim_.scheduler().post_at_seq(when, seq, [this] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     deliver_front();
   });

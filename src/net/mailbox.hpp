@@ -6,7 +6,7 @@
 // its epoch, and at every barrier the destination shard drains all of its
 // inbound mailboxes in one seq-ordered merge, admitting each record into
 // the per-link MailboxInbox ring that materializes delivery events with
-// the exact same (when, seq) tie-breaking as schedule_at_seq.
+// the exact same (when, seq) tie-breaking as post_at_seq.
 //
 // The ShardMailbox is deliberately dumb: a vector of value-type records
 // and a FIFO counter, no locks, no atomics. The producer writes only

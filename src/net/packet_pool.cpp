@@ -55,4 +55,27 @@ QOESIM_HOT void WireRing::pop() {
   --size_;
 }
 
+void PacketRing::next_block() {
+  if (blocks_live_ == blocks_.size()) {
+    // Every ring position holds queued packets: double the pointer ring,
+    // unrolling the live blocks into [0, blocks_live_). Packets stay put.
+    // qoesim-lint: allow(hot-alloc) -- geometric growth of the block-pointer ring up to the queue's peak occupancy; never shrinks
+    std::vector<std::unique_ptr<Block>> bigger(
+        blocks_.empty() ? 1 : blocks_.size() * 2);
+    for (std::size_t i = 0; i < blocks_live_; ++i)
+      bigger[i] = std::move(blocks_[(first_ + i) & (blocks_.size() - 1)]);
+    blocks_ = std::move(bigger);
+    first_ = 0;
+  }
+  std::unique_ptr<Block>& slot =
+      blocks_[(first_ + blocks_live_) & (blocks_.size() - 1)];
+  if (!slot) {
+    // qoesim-lint: allow(hot-alloc) -- first pass over this ring position; blocks are refilled in place, never freed, so steady state allocates nothing
+    slot = std::make_unique<Block>();
+  }
+  back_ = slot.get();
+  if (blocks_live_++ == 0) front_ = back_;
+  tail_ = 0;
+}
+
 }  // namespace qoesim::net

@@ -17,11 +17,22 @@
 // propagation delay is constant and serialization completions are ordered,
 // deliver_at is non-decreasing, so one delivery event draining the ring
 // front replaces a scheduler event per packet.
+//
+// PacketRing is the buffered segment's counterpart: the FIFO storage every
+// queue discipline keeps its waiting packets in. Like WireRing it is a
+// power-of-two ring that only grows -- here a ring of fixed-size packet
+// blocks that are recycled in place -- so a queue that has seen its peak
+// stores and releases packets without touching the heap, unlike
+// std::deque, which frees and reallocates a chunk every two packets as
+// the FIFO advances.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -101,6 +112,65 @@ class QOESIM_SHARD_PLANE WireRing {
  private:
   std::vector<Entry> buf_;  // power-of-two capacity circular buffer
   std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// FIFO of packets waiting in a queue discipline. Packets live in
+/// fixed-size blocks held by a power-of-two ring of block pointers; a
+/// drained block stays in its ring position and is refilled when the FIFO
+/// wraps around to it, so blocks are allocated only while the queue
+/// reaches a new peak occupancy and never freed before the ring is. Growth
+/// doubles the pointer ring and never moves a queued packet, and memory
+/// tracks the peak occupancy in whole blocks rather than a power-of-two
+/// rounding of it. Owned by a queue discipline, which is reached only
+/// through its Link's shard-asserting entry points, so the ring itself
+/// carries no shard annotations.
+class PacketRing {
+ public:
+  static constexpr std::size_t kBlockPackets = 4;
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  const Packet& front() const { return (*front_)[head_]; }
+
+  /// Append `p` at the back; takes the next block when the back one is
+  /// full (allocating it only on the ring's first pass over that slot).
+  void push(Packet&& p) {
+    if (tail_ == kBlockPackets) next_block();
+    (*back_)[tail_++] = std::move(p);
+    ++size_;
+  }
+
+  /// Move the front packet out and remove it. Precondition: !empty().
+  Packet pop() {
+    Packet p = std::move((*front_)[head_++]);
+    if (--size_ == 0) {
+      // Empty: the next push restarts at the top of this same block.
+      blocks_live_ = 0;
+      head_ = 0;
+      tail_ = kBlockPackets;
+    } else if (head_ == kBlockPackets) {
+      first_ = (first_ + 1) & (blocks_.size() - 1);
+      --blocks_live_;
+      front_ = blocks_[first_].get();
+      head_ = 0;
+    }
+    return p;
+  }
+
+ private:
+  using Block = std::array<Packet, kBlockPackets>;
+
+  void next_block();
+
+  std::vector<std::unique_ptr<Block>> blocks_;  // power-of-two ring
+  std::size_t first_ = 0;        // ring index of the front block
+  std::size_t blocks_live_ = 0;  // blocks holding queued packets
+  Block* front_ = nullptr;
+  Block* back_ = nullptr;
+  std::size_t head_ = 0;              // front packet's index in *front_
+  std::size_t tail_ = kBlockPackets;  // one past the back packet in *back_
   std::size_t size_ = 0;
 };
 

@@ -33,8 +33,7 @@ QOESIM_HOT bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
       return false;
     }
     bytes_ += p.size_bytes;
-    // qoesim-lint: allow(hot-alloc) -- high_capacity_-bounded deque; blocks recycled in steady state
-    high_.push_back(std::move(p));
+    high_.push(std::move(p));
     return true;
   }
   if (low_.size() >= low_capacity_) {
@@ -43,13 +42,12 @@ QOESIM_HOT bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- low_capacity_-bounded deque; blocks recycled in steady state
-  low_.push_back(std::move(p));
+  low_.push(std::move(p));
   return true;
 }
 
 QOESIM_HOT std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
-  std::deque<Packet>* source = nullptr;
+  PacketRing* source = nullptr;
   if (!high_.empty()) {
     source = &high_;
   } else if (!low_.empty()) {
@@ -57,8 +55,7 @@ QOESIM_HOT std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
   } else {
     return std::nullopt;
   }
-  Packet p = std::move(source->front());
-  source->pop_front();
+  Packet p = source->pop();
   bytes_ -= p.size_bytes;
   return p;
 }

@@ -8,8 +8,7 @@
 // transfers can no longer build queueing delay in front of voice.
 #pragma once
 
-#include <deque>
-
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 
 namespace qoesim::net {
@@ -53,8 +52,8 @@ class PriorityQueue final : public QueueDiscipline {
  private:
   std::size_t high_capacity_;
   std::size_t low_capacity_;
-  std::deque<Packet> high_;
-  std::deque<Packet> low_;
+  PacketRing high_;
+  PacketRing low_;
   std::size_t bytes_ = 0;
   std::uint64_t high_drops_ = 0;
   std::uint64_t low_drops_ = 0;

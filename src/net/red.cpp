@@ -81,8 +81,7 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
     }
   }
   bytes_ += p.size_bytes;
-  // qoesim-lint: allow(hot-alloc) -- capacity_-bounded deque; blocks recycled in steady state
-  q_.push_back(std::move(p));
+  q_.push(std::move(p));
   idle_ = false;
   return true;
 }
@@ -97,8 +96,7 @@ QOESIM_HOT std::optional<Packet> RedQueue::do_dequeue(Time now) {
     }
     return std::nullopt;
   }
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop();
   bytes_ -= p.size_bytes;
   if (q_.empty()) {
     idle_ = true;

@@ -12,9 +12,8 @@
 // RedParams::mean_pkt_time.
 #pragma once
 
-#include <deque>
-
 #include "core/annotations.hpp"
+#include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 #include "sim/random.hpp"
 
@@ -58,7 +57,7 @@ class QOESIM_SHARD_PLANE RedQueue final : public QueueDiscipline {
 
  private:
   RedParams params_;
-  std::deque<Packet> q_;
+  PacketRing q_;
   std::size_t bytes_ = 0;
   double avg_ = 0.0;      // EWMA of the instantaneous queue length (packets)
   std::uint64_t count_since_drop_ = 0;

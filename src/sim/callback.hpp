@@ -6,11 +6,15 @@
 // enough for a handful of pointers or a shared_ptr plus a deadline) are
 // stored in place, so storing or moving one performs no heap allocation.
 // Larger callables transparently fall back to a single heap allocation.
+// Inline callables that are trivially copyable (the common `[this, id]`
+// capture), and the pointer of heap-stored ones, move with one fixed-size
+// memcpy; trivially copyable callables are also dropped without any call.
 //
 // SmallCallback is the scheduler's void() instantiation.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -61,7 +65,7 @@ class SmallFunction<R(Args...)> {
   /// Destroy the held callable (and free its heap storage, if any).
   void reset() {
     if (ops_) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -75,6 +79,8 @@ class SmallFunction<R(Args...)> {
   }
 
  private:
+  // A null move means the buffer bytes relocate the callable (move_from
+  // copies them); a null destroy means there is nothing to destroy.
   struct Ops {
     R (*invoke)(void* storage, Args&&... args);
     void (*move)(void* dst, void* src);  // relocate; src left destroyed
@@ -97,18 +103,24 @@ class SmallFunction<R(Args...)> {
 
   template <typename Fn>
   static const Ops* inline_ops() {
-    static constexpr Ops ops = {
-        [](void* s, Args&&... args) -> R {
-          return (*inline_ptr<Fn>(s))(std::forward<Args>(args)...);
-        },
-        [](void* dst, void* src) {
-          Fn* from = inline_ptr<Fn>(src);
-          ::new (dst) Fn(std::move(*from));
-          from->~Fn();
-        },
-        [](void* s) { inline_ptr<Fn>(s)->~Fn(); },
+    constexpr auto invoke = [](void* s, Args&&... args) -> R {
+      return (*inline_ptr<Fn>(s))(std::forward<Args>(args)...);
     };
-    return &ops;
+    if constexpr (std::is_trivially_copyable_v<Fn>) {
+      static constexpr Ops ops = {invoke, nullptr, nullptr};
+      return &ops;
+    } else {
+      static constexpr Ops ops = {
+          invoke,
+          [](void* dst, void* src) {
+            Fn* from = inline_ptr<Fn>(src);
+            ::new (dst) Fn(std::move(*from));
+            from->~Fn();
+          },
+          [](void* s) { inline_ptr<Fn>(s)->~Fn(); },
+      };
+      return &ops;
+    }
   }
 
   template <typename Fn>
@@ -122,9 +134,7 @@ class SmallFunction<R(Args...)> {
         [](void* s, Args&&... args) -> R {
           return (*heap_ptr<Fn>(s))(std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) {
-          ::new (dst) Fn*(heap_ptr<Fn>(src));
-        },
+        nullptr,  // the Fn* relocates by memcpy
         [](void* s) { delete heap_ptr<Fn>(s); },
     };
     return &ops;
@@ -133,7 +143,13 @@ class SmallFunction<R(Args...)> {
   void move_from(SmallFunction& other) {
     ops_ = other.ops_;
     if (ops_) {
-      ops_->move(storage_, other.storage_);
+      if (ops_->move != nullptr) {
+        ops_->move(storage_, other.storage_);
+      } else {
+        // A trivially copyable callable (or the Fn* of a heap-stored one):
+        // copying the bytes relocates it and implicitly creates it here.
+        std::memcpy(storage_, other.storage_, kInlineCapacity);
+      }
       other.ops_ = nullptr;
     }
   }

@@ -66,59 +66,61 @@ void Scheduler::release_slot(std::uint32_t slot) {
   static_cast<void>(doomed);
 }
 
-void Scheduler::heap_push(HeapEntry entry) {
+void Scheduler::heap_push(unsigned lane, HeapEntry entry) {
+  std::vector<HeapEntry>& heap = lanes_[lane];
   // qoesim-lint: allow(hot-call-graph) -- capacity is pre-grown geometrically in schedule_with_seq; never reallocates here
-  heap_.push_back(entry);
-  slots_[entry.slot()].heap_index =
-      static_cast<std::uint32_t>(heap_.size() - 1);
-  heap_sift_up(heap_.size() - 1);
-  if (heap_.size() > stats_.peak_queue_depth)
-    stats_.peak_queue_depth = heap_.size();
+  heap.push_back(entry);
+  heap_sift_up(lane, heap.size() - 1);
+  const std::size_t depth = pending_events();
+  if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
 }
 
-void Scheduler::heap_remove(std::size_t pos) {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail
-  heap_place(pos, last);
+void Scheduler::heap_remove(unsigned lane, std::size_t pos) {
+  std::vector<HeapEntry>& heap = lanes_[lane];
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (pos == heap.size()) return;  // removed the tail
+  heap_place(lane, pos, last);
   // The replacement may be out of order in either direction.
-  if (pos > 0 && heap_less(last, heap_[(pos - 1) / 4])) {
-    heap_sift_up(pos);
+  if (pos > 0 && heap_less(last, heap[(pos - 1) / 4])) {
+    heap_sift_up(lane, pos);
   } else {
-    heap_sift_down(pos);
+    heap_sift_down(lane, pos);
   }
 }
 
-void Scheduler::heap_sift_up(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
+void Scheduler::heap_sift_up(unsigned lane, std::size_t pos) {
+  const std::vector<HeapEntry>& heap = lanes_[lane];
+  const HeapEntry entry = heap[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!heap_less(entry, heap_[parent])) break;
-    heap_place(pos, heap_[parent]);
+    if (!heap_less(entry, heap[parent])) break;
+    heap_place(lane, pos, heap[parent]);
     pos = parent;
   }
-  heap_place(pos, entry);
+  heap_place(lane, pos, entry);
 }
 
-void Scheduler::heap_sift_down(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  const std::size_t size = heap_.size();
+void Scheduler::heap_sift_down(unsigned lane, std::size_t pos) {
+  const std::vector<HeapEntry>& heap = lanes_[lane];
+  const HeapEntry entry = heap[pos];
+  const std::size_t size = heap.size();
   for (;;) {
     const std::size_t first_child = pos * 4 + 1;
     if (first_child >= size) break;
     const std::size_t end_child = std::min(first_child + 4, size);
     std::size_t best = first_child;
     for (std::size_t c = first_child + 1; c < end_child; ++c) {
-      if (heap_less(heap_[c], heap_[best])) best = c;
+      if (heap_less(heap[c], heap[best])) best = c;
     }
-    if (!heap_less(heap_[best], entry)) break;
-    heap_place(pos, heap_[best]);
+    if (!heap_less(heap[best], entry)) break;
+    heap_place(lane, pos, heap[best]);
     pos = best;
   }
-  heap_place(pos, entry);
+  heap_place(lane, pos, entry);
 }
 
-EventHandle Scheduler::schedule_at(Time when, Callback cb) {
+EventHandle Scheduler::schedule_at(Time when, Callback&& cb) {
   shard_.assert_held();
   if (when < now_) {
     throw std::invalid_argument("Scheduler::schedule_at: time in the past");
@@ -128,52 +130,66 @@ EventHandle Scheduler::schedule_at(Time when, Callback cb) {
   // sequence check first, then any heap growth (geometric, so push_back
   // below never reallocates).
   const std::uint64_t seq = next_seq();
-  return schedule_with_seq(when, seq, std::move(cb));
+  const std::uint32_t slot =
+      schedule_with_seq(kTimerLane, when, seq, std::move(cb));
+  return EventHandle{this, slot, slots_[slot].generation};
 }
 
-EventHandle Scheduler::schedule_at_seq(Time when, std::uint64_t seq,
-                                       Callback cb) {
+void Scheduler::post_at(Time when, Callback&& cb) {
   shard_.assert_held();
   if (when < now_) {
-    throw std::invalid_argument("Scheduler::schedule_at_seq: time in the past");
+    throw std::invalid_argument("Scheduler::post_at: time in the past");
+  }
+  const std::uint64_t seq = next_seq();
+  schedule_with_seq(kPacketLane, when, seq, std::move(cb));
+}
+
+void Scheduler::post_at_seq(Time when, std::uint64_t seq, Callback&& cb) {
+  shard_.assert_held();
+  if (when < now_) {
+    throw std::invalid_argument("Scheduler::post_at_seq: time in the past");
   }
   if (seq >= next_seq_) {
     throw std::invalid_argument(
-        "Scheduler::schedule_at_seq: seq not from allocate_seq");
+        "Scheduler::post_at_seq: seq not from allocate_seq");
   }
 #ifndef NDEBUG
   // A duplicated seq would silently tie-break on recycled slot ids; catch
   // the pending-duplicate half of the precondition where it is checkable.
   // The scan is bounded so debug builds of large simulations don't pay
   // O(pending) on every delivery (this path runs once per packet-hop).
-  if (heap_.size() <= 4096) {
-    for (const HeapEntry& e : heap_) {
-      assert(e.seq_slot >> kSlotBits != seq &&
-             "schedule_at_seq: seq already pending");
-      static_cast<void>(e);
+  if (pending_events() <= 4096) {
+    for (const std::vector<HeapEntry>& heap : lanes_) {
+      for (const HeapEntry& e : heap) {
+        assert(e.seq_slot >> kSlotBits != seq &&
+               "post_at_seq: seq already pending");
+        static_cast<void>(e);
+      }
     }
   }
 #endif
-  return schedule_with_seq(when, seq, std::move(cb));
+  schedule_with_seq(kPacketLane, when, seq, std::move(cb));
 }
 
-EventHandle Scheduler::schedule_with_seq(Time when, std::uint64_t seq,
-                                         Callback cb) {
-  if (heap_.size() == heap_.capacity()) {
+std::uint32_t Scheduler::schedule_with_seq(unsigned lane, Time when,
+                                           std::uint64_t seq, Callback&& cb) {
+  std::vector<HeapEntry>& heap = lanes_[lane];
+  if (heap.size() == heap.capacity()) {
     // qoesim-lint: allow(hot-call-graph) -- geometric heap growth, steady-state free once peak depth is reached
-    heap_.reserve(heap_.capacity() == 0 ? 64 : heap_.capacity() * 2);
+    heap.reserve(heap.capacity() == 0 ? 64 : heap.capacity() * 2);
   }
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
-  heap_push(HeapEntry{when, seq << kSlotBits | slot});
+  heap_push(lane, HeapEntry{when, seq << kSlotBits | slot});
   ++stats_.scheduled;
-  return EventHandle{this, slot, slots_[slot].generation};
+  return slot;
 }
 
 void Scheduler::handle_cancel(std::uint32_t slot, std::uint64_t generation) {
   shard_.assert_held();
   if (!handle_pending(slot, generation)) return;  // fired or already cancelled
-  heap_remove(slots_[slot].heap_index);
+  const std::uint32_t index = slots_[slot].heap_index;
+  heap_remove(index >> kLaneShift, index & kPosMask);
   release_slot(slot);
   ++stats_.cancelled;
 }
@@ -185,27 +201,26 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   // Take the sequence first: if it throws, the entry's key is untouched
   // and the heap invariant still holds.
   const std::uint64_t seq = next_seq();
-  const std::size_t pos = slots_[slot].heap_index;
-  HeapEntry& entry = heap_[pos];
+  const std::uint32_t index = slots_[slot].heap_index;
+  const unsigned lane = index >> kLaneShift;
+  const std::size_t pos = index & kPosMask;
+  std::vector<HeapEntry>& heap = lanes_[lane];
+  HeapEntry& entry = heap[pos];
   entry.when = when < now_ ? now_ : when;  // past deadlines clamp to now
   // FIFO-wise, a rescheduled event behaves as if freshly scheduled.
   entry.seq_slot = seq << kSlotBits | slot;
-  if (pos > 0 && heap_less(entry, heap_[(pos - 1) / 4])) {
-    heap_sift_up(pos);
+  if (pos > 0 && heap_less(entry, heap[(pos - 1) / 4])) {
+    heap_sift_up(lane, pos);
   } else {
-    heap_sift_down(pos);
+    heap_sift_down(lane, pos);
   }
   ++stats_.rescheduled;
   return true;
 }
 
-QOESIM_HOT bool Scheduler::step() {
-  // A bare step() is a one-event epoch: adopt the calling thread (aborts
-  // in debug builds if another thread's epoch is live).
-  shard_.begin_epoch();
-  if (heap_.empty()) return false;
-  const HeapEntry head = heap_[0];
-  heap_remove(0);
+QOESIM_HOT void Scheduler::fire_head(unsigned lane) {
+  const HeapEntry head = lanes_[lane][0];
+  heap_remove(lane, 0);
   now_ = head.when;
   // Move the callback out before invoking: the callback may schedule new
   // events, which can grow (reallocate) the slot arena. Releasing the slot
@@ -216,6 +231,15 @@ QOESIM_HOT bool Scheduler::step() {
   release_slot(slot);
   ++stats_.fired;
   cb();
+}
+
+QOESIM_HOT bool Scheduler::step() {
+  // A bare step() is a one-event epoch: adopt the calling thread (aborts
+  // in debug builds if another thread's epoch is live).
+  shard_.begin_epoch();
+  const unsigned lane = next_lane();
+  if (lane == kNoLane) return false;
+  fire_head(lane);
   return true;
 }
 
@@ -224,7 +248,10 @@ QOESIM_HOT void Scheduler::run_until(Time until) {
   // returns; ownership is released at exit so the simulation may resume
   // on a different thread later (sweep-cell handoff).
   const ShardGuard epoch(&shard_);
-  while (!heap_.empty() && heap_[0].when <= until) step();
+  for (unsigned lane = next_lane();
+       lane != kNoLane && lanes_[lane][0].when <= until; lane = next_lane()) {
+    fire_head(lane);
+  }
   if (now_ < until) now_ = until;
 }
 
@@ -236,13 +263,17 @@ QOESIM_HOT void Scheduler::run_before(Time until) {
   // events allocated during the epoch fire before barrier-admitted ones),
   // which is the order a single-shard run produces too.
   const ShardGuard epoch(&shard_);
-  while (!heap_.empty() && heap_[0].when < until) step();
+  for (unsigned lane = next_lane();
+       lane != kNoLane && lanes_[lane][0].when < until; lane = next_lane()) {
+    fire_head(lane);
+  }
   if (now_ < until) now_ = until;
 }
 
 QOESIM_HOT void Scheduler::run() {
   const ShardGuard epoch(&shard_);
-  while (step()) {
+  for (unsigned lane = next_lane(); lane != kNoLane; lane = next_lane()) {
+    fire_head(lane);
   }
 }
 

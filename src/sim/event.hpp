@@ -1,14 +1,32 @@
 // qoesim -- discrete-event scheduler.
 //
-// The Scheduler owns a slab-allocated arena of pending events driving an
-// indexed 4-ary min-heap. Slots are recycled through a free list, so the
-// steady-state schedule/fire/cancel cycle performs no heap allocation
-// (callbacks with captures up to SmallCallback::kInlineCapacity bytes are
-// stored inline; see sim/callback.hpp). Events that share a timestamp fire
-// in scheduling order (FIFO, via a monotonic sequence number), which keeps
-// simulations deterministic. Events can be cancelled or rescheduled through
-// EventHandle, which is how protocol timers (TCP RTO, playout deadlines,
-// ...) are built; cancellation removes the entry from the heap immediately
+// The Scheduler owns a slab-allocated arena of pending events driving two
+// indexed 4-ary min-heaps ("lanes") that share one (when, seq) key space:
+//
+//   timer lane   events scheduled through the handle-returning API
+//                (schedule_at/schedule_in, Simulation::at/after): protocol
+//                timers (TCP RTO/TLP/delayed-ACK, playout deadlines, ...)
+//                that are cancelled or rescheduled far more often than
+//                they fire.
+//   packet lane  fire-and-forget events from post_at/post_at_seq: link
+//                tx-completes and wire/mailbox deliveries, which fire at
+//                packet rate and are never moved or cancelled.
+//
+// The caller picks the lane by whether it keeps a handle. A backbone cell
+// holds ~1,700 mostly idle timers but only a few dozen packet events, so
+// splitting them keeps the per-packet push/pop in a heap a few levels deep
+// instead of one sized by the timer population. The fire loop pops
+// whichever lane head has the smaller (when, seq); sequence numbers are
+// unique across both lanes, so the firing order is exactly the order a
+// single heap would produce.
+//
+// Slots are recycled through a free list, so the steady-state
+// schedule/fire/cancel cycle performs no heap allocation (callbacks with
+// captures up to SmallCallback::kInlineCapacity bytes are stored inline;
+// see sim/callback.hpp). Events that share a timestamp fire in scheduling
+// order (FIFO, via a monotonic sequence number), which keeps simulations
+// deterministic. Timer-lane events can be cancelled or rescheduled through
+// EventHandle; cancellation removes the entry from its heap immediately
 // instead of leaving a tombstone to purge later.
 //
 // EventHandle is a cheap {slot, generation} reference into the arena:
@@ -73,11 +91,11 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// installed via set_stats_fold() (if any) on destruction, so benches can
   /// report events/sec across the many short-lived Simulations of a sweep.
   struct Stats {
-    std::uint64_t scheduled = 0;    ///< schedule_at/schedule_in calls
+    std::uint64_t scheduled = 0;    ///< events scheduled (either lane)
     std::uint64_t fired = 0;        ///< callbacks invoked
     std::uint64_t cancelled = 0;    ///< pending events removed via cancel()
     std::uint64_t rescheduled = 0;  ///< EventHandle::reschedule fast paths
-    std::uint64_t peak_queue_depth = 0;  ///< max simultaneous pending events
+    std::uint64_t peak_queue_depth = 0;  ///< max pending, both lanes summed
   };
 
   /// Thread-safe accumulator for the Stats of many schedulers. Sweep cells
@@ -107,35 +125,44 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Schedule `cb` to run at absolute time `when` (must be >= now()).
-  EventHandle schedule_at(Time when, Callback cb);
+  /// Schedule `cb` on the timer lane to run at absolute time `when`
+  /// (must be >= now()). The handle can cancel or move the event.
+  EventHandle schedule_at(Time when, Callback&& cb);
+
+  /// Schedule `cb` on the timer lane to run `delay` from now (negative
+  /// delays clamp to now).
+  EventHandle schedule_in(Time delay, Callback&& cb) {
+    if (delay.is_negative()) delay = Time::zero();
+    return schedule_at(now_ + delay, std::move(cb));
+  }
+
+  /// Fire-and-forget: schedule `cb` on the packet lane at `when` (must be
+  /// >= now()). No handle, so the event can be neither cancelled nor
+  /// moved; in exchange it never shares a heap with the timer population.
+  /// Ties with timer-lane events break on sequence number exactly as if
+  /// both lanes were one queue.
+  void post_at(Time when, Callback&& cb);
 
   /// Reserve a FIFO position without scheduling anything. Events that
   /// share a timestamp fire in sequence order, so a component can fix an
   /// event's tie-breaking position now and materialize the event later
-  /// with schedule_at_seq / EventHandle::reschedule(when, seq). The link
-  /// wire ring uses this to collapse per-packet propagation events into
-  /// one delivery event per link while keeping event order exactly as if
-  /// each packet had scheduled its own event.
+  /// with post_at_seq. The link wire ring uses this to collapse
+  /// per-packet propagation events into one delivery event per link
+  /// while keeping event order exactly as if each packet had scheduled
+  /// its own event.
   std::uint64_t allocate_seq() {
     shard_.assert_held();
     return next_seq();
   }
 
-  /// Schedule `cb` at `when` with the FIFO position `seq`, which must
-  /// have been obtained from allocate_seq() and used by at most one event
-  /// ever. Consumes no new sequence number. Reusing a seq would make
-  /// same-timestamp ties break on arena slot ids (i.e. nondeterministic
-  /// free-list history) instead of scheduling order; unallocated seqs
-  /// throw, and debug builds assert no pending event already holds the
-  /// seq.
-  EventHandle schedule_at_seq(Time when, std::uint64_t seq, Callback cb);
-
-  /// Schedule `cb` to run `delay` from now (negative delays clamp to now).
-  EventHandle schedule_in(Time delay, Callback cb) {
-    if (delay.is_negative()) delay = Time::zero();
-    return schedule_at(now_ + delay, std::move(cb));
-  }
+  /// Post `cb` on the packet lane at `when` with the FIFO position `seq`,
+  /// which must have been obtained from allocate_seq() and used by at
+  /// most one event ever. Consumes no new sequence number. Reusing a seq
+  /// would make same-timestamp ties break on arena slot ids (i.e.
+  /// nondeterministic free-list history) instead of scheduling order;
+  /// unallocated seqs throw, and debug builds assert no pending event
+  /// already holds the seq.
+  void post_at_seq(Time when, std::uint64_t seq, Callback&& cb);
 
   /// Run events until the queue is empty or `until` is reached. The clock
   /// is advanced to `until` even if the queue drains earlier.
@@ -154,10 +181,13 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// Fire at most one event; returns false when the queue is empty.
   bool step();
 
-  /// Number of live pending events. Cancelled events are removed from the
-  /// queue eagerly, so they are never counted (unlike the old tombstone
-  /// implementation, which reported them until they were popped).
-  std::size_t pending_events() const { return heap_.size(); }
+  /// Number of live pending events over both lanes. Cancelled events are
+  /// removed from the queue eagerly, so they are never counted (unlike the
+  /// old tombstone implementation, which reported them until they were
+  /// popped).
+  std::size_t pending_events() const {
+    return lanes_[kTimerLane].size() + lanes_[kPacketLane].size();
+  }
 
   /// Total number of events fired so far (for perf accounting).
   std::uint64_t fired_events() const { return stats_.fired; }
@@ -180,6 +210,14 @@ class QOESIM_SHARD_PLANE Scheduler {
   friend class EventHandle;
 
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
+
+  // Lane ids index lanes_. A slot's heap_index carries its lane in the
+  // top bit and its position in the lane's heap below; positions never
+  // reach bit 31 because at most 2^24 events are pending.
+  static constexpr unsigned kTimerLane = 0;
+  static constexpr unsigned kPacketLane = 1;
+  static constexpr unsigned kLaneShift = 31;
+  static constexpr std::uint32_t kPosMask = (1u << kLaneShift) - 1;
 
   // The (when, seq) sort key lives in the heap entry, not the slot, so
   // sift comparisons stay within the contiguous heap array instead of
@@ -204,7 +242,7 @@ class QOESIM_SHARD_PLANE Scheduler {
   // padding, so the arena layout is unchanged.
   struct Slot {
     std::uint64_t generation = 0;
-    std::uint32_t heap_index = kNilIndex;
+    std::uint32_t heap_index = kNilIndex;  // (lane << kLaneShift) | pos
     std::uint32_t next_free = kNilIndex;
     Callback cb;
   };
@@ -215,30 +253,44 @@ class QOESIM_SHARD_PLANE Scheduler {
   void handle_cancel(std::uint32_t slot, std::uint64_t generation);
   bool handle_reschedule(std::uint32_t slot, std::uint64_t generation,
                          Time when);
-  EventHandle schedule_with_seq(Time when, std::uint64_t seq, Callback cb)
-      QOESIM_REQUIRES_SHARD;
+  std::uint32_t schedule_with_seq(unsigned lane, Time when, std::uint64_t seq,
+                                  Callback&& cb) QOESIM_REQUIRES_SHARD;
 
   std::uint32_t acquire_slot() QOESIM_REQUIRES_SHARD;
   void release_slot(std::uint32_t slot) QOESIM_REQUIRES_SHARD;
   std::uint64_t next_seq() QOESIM_REQUIRES_SHARD;
 
-  // Indexed 4-ary min-heap keyed by (when, seq). Comparing the combined
-  // seq_slot word is equivalent to comparing seq: among equal timestamps
-  // the (strictly monotonic) sequence occupies the high bits and two
-  // entries never share one.
+  // Each lane is an indexed 4-ary min-heap keyed by (when, seq).
+  // Comparing the combined seq_slot word is equivalent to comparing seq:
+  // among equal timestamps the (strictly monotonic) sequence occupies the
+  // high bits and no two entries -- in either lane -- share one.
   static bool heap_less(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq_slot < b.seq_slot;
   }
-  void heap_place(std::size_t pos, const HeapEntry& entry)
+  void heap_place(unsigned lane, std::size_t pos, const HeapEntry& entry)
       QOESIM_REQUIRES_SHARD {
-    heap_[pos] = entry;
-    slots_[entry.slot()].heap_index = static_cast<std::uint32_t>(pos);
+    lanes_[lane][pos] = entry;
+    slots_[entry.slot()].heap_index =
+        lane << kLaneShift | static_cast<std::uint32_t>(pos);
   }
-  void heap_push(HeapEntry entry) QOESIM_REQUIRES_SHARD;
-  void heap_remove(std::size_t pos) QOESIM_REQUIRES_SHARD;
-  void heap_sift_up(std::size_t pos) QOESIM_REQUIRES_SHARD;
-  void heap_sift_down(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  void heap_push(unsigned lane, HeapEntry entry) QOESIM_REQUIRES_SHARD;
+  void heap_remove(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
+  void heap_sift_up(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
+  void heap_sift_down(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
+
+  // The lane whose head fires next (one extra compare per event), or
+  // kNoLane when both are empty.
+  static constexpr unsigned kNoLane = 2;
+  unsigned next_lane() const {
+    const std::vector<HeapEntry>& timers = lanes_[kTimerLane];
+    const std::vector<HeapEntry>& packets = lanes_[kPacketLane];
+    if (packets.empty()) return timers.empty() ? kNoLane : kTimerLane;
+    if (timers.empty() || heap_less(packets[0], timers[0])) return kPacketLane;
+    return kTimerLane;
+  }
+  // Pop the head event of `lane` and invoke it.
+  void fire_head(unsigned lane) QOESIM_REQUIRES_SHARD;
 
   Time now_;
   std::uint64_t next_seq_ = 0;
@@ -246,7 +298,7 @@ class QOESIM_SHARD_PLANE Scheduler {
   Stats stats_;
   StatsFold* stats_fold_ = nullptr;
   std::vector<Slot> slots_;
-  std::vector<HeapEntry> heap_;
+  std::vector<HeapEntry> lanes_[2];  // [kTimerLane], [kPacketLane]
   std::uint32_t free_head_ = kNilIndex;
 };
 

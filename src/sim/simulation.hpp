@@ -59,10 +59,13 @@ class Simulation {
   /// the same determinism/sharding reasons as next_packet_uid().
   std::uint64_t next_flow_id() { return next_flow_id_++; }
 
-  EventHandle at(Time when, Scheduler::Callback cb) {
+  // Timer-lane scheduling (see sim/event.hpp). The callback is taken by
+  // rvalue reference all the way down to the arena slot, so a call site's
+  // temporary is moved exactly once.
+  EventHandle at(Time when, Scheduler::Callback&& cb) {
     return scheduler_.schedule_at(when, std::move(cb));
   }
-  EventHandle after(Time delay, Scheduler::Callback cb) {
+  EventHandle after(Time delay, Scheduler::Callback&& cb) {
     return scheduler_.schedule_in(delay, std::move(cb));
   }
 

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+
 #include "net/codel.hpp"
 #include "net/drop_tail.hpp"
+#include "net/packet_pool.hpp"
 #include "net/red.hpp"
 #include "sim/random.hpp"
 
@@ -164,6 +168,39 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(QueueKind::kDropTail, QueueKind::kRed,
                                          QueueKind::kCoDel),
                        ::testing::Values<std::size_t>(1, 8, 64, 749)));
+
+TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
+  // Random bursts of pushes and pops against a std::deque reference: the
+  // FIFO crosses block boundaries, wraps around the block ring, doubles
+  // it while wrapped, drains to empty and restarts mid-ring.
+  std::mt19937_64 rng(7);
+  PacketRing ring;
+  std::deque<std::uint64_t> ref;
+  std::uint64_t next = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const bool grow = rng() % 3 != 0 || ref.empty();
+    const int burst = static_cast<int>(rng() % (round % 97 == 0 ? 200 : 9));
+    for (int i = 0; i < burst; ++i) {
+      if (grow) {
+        Packet p = make_packet();
+        p.uid = next;
+        ring.push(std::move(p));
+        ref.push_back(next++);
+      } else if (!ref.empty()) {
+        ASSERT_EQ(ring.front().uid, ref.front());
+        ASSERT_EQ(ring.pop().uid, ref.front());
+        ref.pop_front();
+      }
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+  }
+  while (!ref.empty()) {
+    ASSERT_EQ(ring.pop().uid, ref.front());
+    ref.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
 
 }  // namespace
 }  // namespace qoesim::net

@@ -270,6 +270,34 @@ TEST(Scheduler, LargeCapturesFallBackToHeapStorage) {
   EXPECT_EQ(witness.use_count(), 2);  // only witness + big remain
 }
 
+TEST(SmallCallback, TrivialAndNonTrivialInlineCapturesRelocate) {
+  // Trivially copyable captures relocate by memcpy; captures with a
+  // non-trivial move/destructor (shared_ptr) still go through their own
+  // move constructor and destructor, so ownership is neither leaked nor
+  // doubled across chains of moves.
+  int hits = 0;
+  int* target = &hits;
+  SmallCallback trivial([target, step = 2] { *target += step; });
+  SmallCallback moved_once(std::move(trivial));
+  SmallCallback moved_twice;
+  moved_twice = std::move(moved_once);
+  EXPECT_FALSE(static_cast<bool>(trivial));
+  EXPECT_FALSE(static_cast<bool>(moved_once));
+  moved_twice();
+  EXPECT_EQ(hits, 2);
+
+  auto witness = std::make_shared<int>(0);
+  {
+    SmallCallback owning([witness] { ++*witness; });
+    EXPECT_EQ(witness.use_count(), 2);
+    SmallCallback relocated(std::move(owning));
+    EXPECT_EQ(witness.use_count(), 2);
+    relocated();
+  }
+  EXPECT_EQ(*witness, 1);
+  EXPECT_EQ(witness.use_count(), 1);
+}
+
 TEST(Scheduler, StatsCountersTrackOperations) {
   Scheduler sched;
   auto a = sched.schedule_at(Time::seconds(1), [] {});
@@ -288,25 +316,24 @@ TEST(Scheduler, StatsCountersTrackOperations) {
 }
 
 TEST(Scheduler, ReservedSeqFixesFifoPositionAtAllocationTime) {
-  // allocate_seq() reserves a FIFO slot that an event scheduled much later
-  // (schedule_at_seq) still occupies: it fires before a same-timestamp
-  // event whose seq was taken after the reservation.
+  // allocate_seq() reserves a FIFO slot that an event posted much later
+  // (post_at_seq) still occupies: it fires before a same-timestamp event
+  // whose seq was taken after the reservation.
   Scheduler sched;
   std::vector<int> order;
   const std::uint64_t reserved = sched.allocate_seq();
   sched.schedule_at(Time::seconds(1), [&] { order.push_back(2); });
-  sched.schedule_at_seq(Time::seconds(1), reserved,
-                        [&] { order.push_back(1); });
+  sched.post_at_seq(Time::seconds(1), reserved, [&] { order.push_back(1); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(Scheduler, ScheduleAtSeqRejectsUnallocatedSeq) {
+TEST(Scheduler, PostAtSeqRejectsUnallocatedSeq) {
   Scheduler sched;
-  EXPECT_THROW(sched.schedule_at_seq(Time::seconds(1), 0, [] {}),
+  EXPECT_THROW(sched.post_at_seq(Time::seconds(1), 0, [] {}),
                std::invalid_argument);
   (void)sched.allocate_seq();
-  EXPECT_NO_THROW(sched.schedule_at_seq(Time::seconds(1), 0, [] {}));
+  EXPECT_NO_THROW(sched.post_at_seq(Time::seconds(1), 0, [] {}));
   sched.run();
 }
 
@@ -318,10 +345,58 @@ TEST(Scheduler, ReservedSeqSurvivesInterleavedScheduling) {
   sched.schedule_at(Time::seconds(1), [&] { order.push_back(0); });
   const std::uint64_t reserved = sched.allocate_seq();
   sched.schedule_at(Time::seconds(1), [&] { order.push_back(2); });
-  sched.schedule_at_seq(Time::seconds(1), reserved,
-                        [&] { order.push_back(1); });
+  sched.post_at_seq(Time::seconds(1), reserved, [&] { order.push_back(1); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Scheduler, SameTimestampAcrossLanesFiresInSeqOrder) {
+  // The timer lane (handle API) and the packet lane (post_*) are separate
+  // heaps, but ties break on the one global sequence, whichever lane was
+  // scheduled first.
+  for (const bool timer_first : {true, false}) {
+    Scheduler sched;
+    std::vector<char> order;
+    const auto timer = [&] {
+      sched.schedule_at(Time::seconds(1), [&] { order.push_back('t'); });
+    };
+    const auto packet = [&] {
+      sched.post_at(Time::seconds(1), [&] { order.push_back('p'); });
+    };
+    if (timer_first) {
+      timer();
+      packet();
+    } else {
+      packet();
+      timer();
+    }
+    EXPECT_EQ(sched.pending_events(), 2u);
+    sched.run();
+    EXPECT_EQ(order, timer_first ? (std::vector<char>{'t', 'p'})
+                                 : (std::vector<char>{'p', 't'}));
+  }
+}
+
+TEST(Scheduler, RescheduledTimerInterleavesWithPacketLane) {
+  // Rescheduling a timer takes a fresh seq, so it lands behind a packet
+  // event posted earlier at the same timestamp; run_until/run_before/step
+  // all pick the smaller head across lanes, and the stats sum both lanes.
+  Scheduler sched;
+  std::vector<int> order;
+  EventHandle h = sched.schedule_at(Time::seconds(1), [&] { order.push_back(3); });
+  sched.post_at(Time::seconds(2), [&] { order.push_back(2); });
+  sched.post_at(Time::seconds(1), [&] { order.push_back(1); });
+  ASSERT_TRUE(h.reschedule(Time::seconds(2)));
+  sched.run_before(Time::seconds(2));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sched.pending_events(), 2u);
+  sched.run_until(Time::seconds(2));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_FALSE(sched.step());
+  const Scheduler::Stats& s = sched.stats();
+  EXPECT_EQ(s.scheduled, 3u);
+  EXPECT_EQ(s.fired, 3u);
+  EXPECT_EQ(s.peak_queue_depth, 3u);
 }
 
 TEST(Simulation, DerivedRngsDifferByLabel) {

@@ -1,9 +1,12 @@
 // Randomized model test for the arena scheduler: thousands of interleaved
-// schedule/cancel/reschedule/step operations are mirrored against a naive
-// sorted-vector reference implementation, asserting identical firing order
-// and timestamps. Exercises FIFO tie-breaks (timestamps are quantized so
-// collisions are common), cancel-at-head, reschedule-to-past clamping, and
-// slot/generation reuse (fired and cancelled slots recycle constantly).
+// schedule/cancel/reschedule/post/step operations are mirrored against a
+// naive single-list reference implementation, asserting identical firing
+// order and timestamps. Exercises FIFO tie-breaks (timestamps are quantized
+// so collisions are common) -- including ties between the timer lane
+// (schedule_at) and the packet lane (post_at, post_at_seq with reserved
+// seqs used out of order) -- cancel-at-head, reschedule-to-past clamping,
+// and slot/generation reuse (fired and cancelled slots recycle
+// constantly).
 #include "sim/event.hpp"
 
 #include <gtest/gtest.h>
@@ -17,13 +20,20 @@
 namespace qoesim {
 namespace {
 
-// Naive reference: an unsorted vector of pending events; firing scans for
-// the (when, seq) minimum. Mirrors the documented Scheduler semantics
-// exactly, in the most obviously-correct way possible.
+// Naive reference: one unsorted vector of pending events from both lanes;
+// firing scans for the (when, seq) minimum. Mirrors the documented
+// Scheduler semantics exactly, in the most obviously-correct way possible.
 class ReferenceScheduler {
  public:
-  void schedule(std::int64_t when_ns, int id) {
-    pending_.push_back({when_ns, next_seq_++, id});
+  /// Timer-lane or post_at event: takes the next sequence number.
+  void schedule(std::int64_t when_ns, int id, bool has_handle = true) {
+    pending_.push_back({when_ns, next_seq_++, id, has_handle});
+  }
+
+  /// allocate_seq(): reserve a sequence number for a later post_at_seq.
+  std::uint64_t allocate_seq() { return next_seq_++; }
+  void post_at_seq(std::int64_t when_ns, std::uint64_t seq, int id) {
+    pending_.push_back({when_ns, seq, id, false});
   }
 
   bool cancel(int id) {
@@ -62,20 +72,32 @@ class ReferenceScheduler {
   }
   std::int64_t now_ns() const { return now_ns_; }
   std::size_t size() const { return pending_.size(); }
-  int head_id() const {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < pending_.size(); ++i) {
-      const auto& a = pending_[i];
-      const auto& b = pending_[best];
-      if (a.when_ns < b.when_ns ||
-          (a.when_ns == b.when_ns && a.seq < b.seq)) {
-        best = i;
+  /// Number of pending events that can be reached through a handle.
+  std::size_t timer_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(pending_.begin(), pending_.end(),
+                      [](const Event& e) { return e.has_handle; }));
+  }
+  /// Id of the earliest pending timer-lane event (-1 if none).
+  int head_timer_id() const {
+    const Event* best = nullptr;
+    for (const Event& e : pending_) {
+      if (!e.has_handle) continue;
+      if (best == nullptr || e.when_ns < best->when_ns ||
+          (e.when_ns == best->when_ns && e.seq < best->seq)) {
+        best = &e;
       }
     }
-    return pending_[best].id;
+    return best == nullptr ? -1 : best->id;
   }
-  int random_id(std::mt19937_64& rng) const {
-    return pending_[rng() % pending_.size()].id;
+  /// A uniformly chosen pending timer-lane event. Precondition:
+  /// timer_count() > 0.
+  int random_timer_id(std::mt19937_64& rng) const {
+    std::size_t pick = rng() % timer_count();
+    for (const Event& e : pending_) {
+      if (e.has_handle && pick-- == 0) return e.id;
+    }
+    return -1;
   }
 
  private:
@@ -83,6 +105,7 @@ class ReferenceScheduler {
     std::int64_t when_ns;
     std::uint64_t seq;
     int id;
+    bool has_handle;  // timer lane (schedule_at) vs packet lane (post_*)
   };
   std::vector<Event>::iterator find(int id) {
     return std::find_if(pending_.begin(), pending_.end(),
@@ -99,7 +122,8 @@ void run_interleaving(std::uint64_t seed, int ops) {
   std::mt19937_64 rng(seed);
   Scheduler sched;
   ReferenceScheduler ref;
-  std::unordered_map<int, EventHandle> handles;
+  std::unordered_map<int, EventHandle> handles;  // timer-lane events only
+  std::vector<std::uint64_t> reserved;  // allocate_seq()s not yet posted
   std::vector<int> fired;      // firing order observed from Scheduler
   std::vector<int> ref_fired;  // firing order predicted by the reference
   int next_id = 0;
@@ -111,7 +135,7 @@ void run_interleaving(std::uint64_t seed, int ops) {
   };
 
   for (int op = 0; op < ops; ++op) {
-    switch (rng() % 8) {
+    switch (rng() % 11) {
       case 0:
       case 1:
       case 2: {  // schedule a new event
@@ -124,19 +148,19 @@ void run_interleaving(std::uint64_t seed, int ops) {
         ref.schedule(when.ns(), id);
         break;
       }
-      case 3: {  // cancel a random live event (sometimes the head)
-        if (ref.size() == 0) break;
+      case 3: {  // cancel a random live timer (sometimes the head timer)
+        if (ref.timer_count() == 0) break;
         const int id =
-            rng() % 4 == 0 ? ref.head_id() : ref.random_id(rng);
+            rng() % 4 == 0 ? ref.head_timer_id() : ref.random_timer_id(rng);
         handles[id].cancel();
         ASSERT_TRUE(ref.cancel(id));
         ASSERT_FALSE(handles[id].pending());
         break;
       }
-      case 4: {  // reschedule a random live event (sometimes into the past)
-        if (ref.size() == 0) break;
+      case 4: {  // reschedule a random live timer (sometimes into the past)
+        if (ref.timer_count() == 0) break;
         const int id =
-            rng() % 4 == 0 ? ref.head_id() : ref.random_id(rng);
+            rng() % 4 == 0 ? ref.head_timer_id() : ref.random_timer_id(rng);
         std::int64_t when_ns = ref.now_ns() + random_delay_ns();
         if (rng() % 4 == 0) when_ns = ref.now_ns() - 500;  // clamps to now
         ASSERT_TRUE(handles[id].reschedule(Time::nanoseconds(when_ns)));
@@ -147,10 +171,37 @@ void run_interleaving(std::uint64_t seed, int ops) {
         if (next_id == 0) break;
         const int id =
             static_cast<int>(rng() % static_cast<std::uint64_t>(next_id));
-        if (ref.is_pending(id)) break;
-        EXPECT_FALSE(handles[id].pending());
-        EXPECT_FALSE(handles[id].reschedule(Time::seconds(1e6)));
-        handles[id].cancel();  // must not disturb anything
+        const auto it = handles.find(id);
+        if (it == handles.end() || ref.is_pending(id)) break;
+        EXPECT_FALSE(it->second.pending());
+        EXPECT_FALSE(it->second.reschedule(Time::seconds(1e6)));
+        it->second.cancel();  // must not disturb anything
+        break;
+      }
+      case 6: {  // fire-and-forget event on the packet lane
+        const int id = next_id++;
+        const Time when =
+            Time::nanoseconds(ref.now_ns() + random_delay_ns());
+        sched.post_at(when, [&fired, id] { fired.push_back(id); });
+        ref.schedule(when.ns(), id, /*has_handle=*/false);
+        break;
+      }
+      case 7: {  // reserve a FIFO position for a later post_at_seq
+        const std::uint64_t seq = sched.allocate_seq();
+        ASSERT_EQ(seq, ref.allocate_seq());
+        reserved.push_back(seq);
+        break;
+      }
+      case 8: {  // post at a reserved seq (reservations used out of order)
+        if (reserved.empty()) break;
+        const std::size_t pick = rng() % reserved.size();
+        const std::uint64_t seq = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+        const int id = next_id++;
+        const Time when =
+            Time::nanoseconds(ref.now_ns() + random_delay_ns());
+        sched.post_at_seq(when, seq, [&fired, id] { fired.push_back(id); });
+        ref.post_at_seq(when.ns(), seq, id);
         break;
       }
       default: {  // fire one event
