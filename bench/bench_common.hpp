@@ -4,14 +4,18 @@
 //   --scale <f>   scale probe repetitions / measurement durations (default 1)
 //   --seed <n>    master seed (default 1)
 //   --jobs <n>    worker threads for grid sweeps (default 1; 0 = all cores)
-//   --shards <n>  PDES engine shards within one scenario (default 0 =
-//                 bench-specific default: figure benches 1, bench_pdes its
-//                 full scaling curve). Stdout is byte-identical across
-//                 values -- the --shards determinism gate in CI pins it.
 //   --csv         also emit CSV after the rendered table
 //   --no-color    render tone tags instead of ANSI colors
 //   --quick       CI smoke mode: quarter probe budget on top of --scale
 //                 (micro-benches interpret it as their own fast preset)
+//
+// The engine-scale benches (bench_pdes, bench_megaflows) also take
+//   --shards <n>  PDES engine shards within one scenario, 0..64 (default
+//                 0 = the bench's own default; see parse_shards). Stdout
+//                 is byte-identical across values -- the --shards
+//                 determinism gate in CI pins it.
+// Figure and table benches run every cell on one Simulation and reject
+// --shards like any other unknown flag.
 //
 // Flags are validated: non-numeric or non-positive values and unknown
 // flags abort with a usage message instead of being silently ignored.
@@ -129,13 +133,32 @@ inline void emit_node_summary() {
   }
 }
 
+inline void print_usage(std::FILE* out, const char* argv0,
+                        std::initializer_list<const char*> extra_value_flags) {
+  std::fprintf(out,
+               "usage: %s [--scale f] [--seed n] [--jobs n]"
+               " [--csv] [--no-color] [--quick]",
+               argv0);
+  for (const char* flag : extra_value_flags) std::fprintf(out, " [%s v]", flag);
+  std::fputs("\n", out);
+}
+
+/// Report a malformed command line and exit 2. _Exit, not exit: a bench
+/// validating its own flag after BenchOptions::parse has already
+/// registered the atexit summaries, and they must not follow a usage
+/// error onto stdout.
+[[noreturn]] inline void usage_error(
+    const char* argv0, const char* message, const char* arg,
+    std::initializer_list<const char*> extra_value_flags) {
+  std::fprintf(stderr, "%s: %s: %s\n", argv0, message, arg);
+  print_usage(stderr, argv0, extra_value_flags);
+  std::_Exit(2);
+}
+
 struct BenchOptions {
   double scale = 1.0;
   std::uint64_t seed = 1;
   unsigned jobs = 1;  ///< sweep worker threads; 0 = hardware concurrency
-  /// PDES shards per scenario; 0 = bench default (figure benches: 1,
-  /// bench_pdes: run its whole scaling curve).
-  unsigned shards = 0;
   bool csv = false;
   bool color = true;
   bool quick = false;  ///< CI smoke preset (see budget())
@@ -148,19 +171,8 @@ struct BenchOptions {
       std::initializer_list<const char*> extra_value_flags = {}) {
     bench_start_time();  // anchor the events/sec wall clock
     BenchOptions opt;
-    auto usage = [&](std::FILE* out) {
-      std::fprintf(out,
-                   "usage: %s [--scale f] [--seed n] [--jobs n] [--shards n]"
-                   " [--csv] [--no-color] [--quick]",
-                   argv[0]);
-      for (const char* flag : extra_value_flags)
-        std::fprintf(out, " [%s v]", flag);
-      std::fputs("\n", out);
-    };
     auto fail = [&](const char* message, const char* arg) {
-      std::fprintf(stderr, "%s: %s: %s\n", argv[0], message, arg);
-      usage(stderr);
-      std::exit(2);
+      usage_error(argv[0], message, arg, extra_value_flags);
     };
     auto value_of = [&](int& i) -> const char* {
       if (i + 1 >= argc) fail("missing value for flag", argv[i]);
@@ -192,13 +204,6 @@ struct BenchOptions {
         if (end == text || *end != '\0' || jobs > 4096)
           fail("--jobs expects an integer in [0, 4096]", text);
         opt.jobs = static_cast<unsigned>(jobs);
-      } else if (std::strcmp(argv[i], "--shards") == 0) {
-        const char* text = value_of(i);
-        char* end = nullptr;
-        const unsigned long shards = std::strtoul(text, &end, 10);
-        if (end == text || *end != '\0' || shards > 64)
-          fail("--shards expects an integer in [0, 64]", text);
-        opt.shards = static_cast<unsigned>(shards);
       } else if (std::strcmp(argv[i], "--csv") == 0) {
         opt.csv = true;
       } else if (std::strcmp(argv[i], "--no-color") == 0) {
@@ -206,7 +211,7 @@ struct BenchOptions {
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         opt.quick = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
-        usage(stdout);
+        print_usage(stdout, argv[0], extra_value_flags);
         std::exit(0);
       } else {
         bool extra = false;
@@ -247,6 +252,25 @@ struct BenchOptions {
   core::SweepRunner sweep() const { return core::SweepRunner(jobs); }
 };
 
+/// The --shards value of an engine-scale bench, which passes "--shards"
+/// to BenchOptions::parse as an extra value flag and calls this after it
+/// (parse has then already rejected unknown flags and missing values).
+/// 0 = the bench's default. Exits 2 on a value outside [0, 64].
+inline unsigned parse_shards(int argc, char** argv) {
+  unsigned shards = 0;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--shards") != 0) continue;
+    const char* text = argv[++i];
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(text, &end, 10);
+    if (end == text || *end != '\0' || value > 64)
+      usage_error(argv[0], "--shards expects an integer in [0, 64]", text,
+                  {"--shards"});
+    shards = static_cast<unsigned>(value);
+  }
+  return shards;
+}
+
 inline void emit(const stats::HeatmapTable& table, const BenchOptions& opt) {
   std::fputs(table.render(opt.color).c_str(), stdout);
   if (opt.csv) {
@@ -271,17 +295,13 @@ inline core::ScenarioConfig make_scenario(core::TestbedType testbed,
                                           core::WorkloadType workload,
                                           core::CongestionDirection direction,
                                           std::size_t buffer,
-                                          std::uint64_t seed,
-                                          unsigned shards = 0) {
+                                          std::uint64_t seed) {
   core::ScenarioConfig cfg;
   cfg.testbed = testbed;
   cfg.workload = workload;
   cfg.direction = direction;
   cfg.buffer_packets = buffer;
   cfg.tcp_cc = core::default_cc(testbed);
-  // --shards plumbing: advisory for the dumbbell testbeds (see
-  // ScenarioConfig::shards), honored by engine-scale scenarios.
-  cfg.shards = shards == 0 ? 1 : shards;
   // Deterministic per-cell seed (direction as salt): structurally identical
   // cells (e.g. short-few vs short-many upstream-only) still see independent
   // stochastic runs, and the value never depends on evaluation order.
@@ -323,7 +343,7 @@ void run_ablation_grid(const BenchOptions& opt,
     auto cfg = make_scenario(core::TestbedType::kAccess,
                              core::WorkloadType::kLongFew,
                              core::CongestionDirection::kUpstream,
-                             cases[i].buffer, opt.seed, opt.shards);
+                             cases[i].buffer, opt.seed);
     mutate(cfg, cases[i].variant);
     return AblationCell{runner.run_qos(cfg), runner.run_voip(cfg, true),
                         runner.run_web(cfg)};

@@ -8,7 +8,8 @@
 // Measured per cell:
 //   stdout (simulation-deterministic -- byte-identical for a fixed seed
 //   at every --jobs and --shards value, so the CI determinism gates pin
-//   it):
+//   it; --shards n runs each cell on the PDES engine with n shards,
+//   0 = the default 1):
 //     flows opened, resident bytes/flow (hot slot; cold block size and
 //     attach count, both 0 for idle flows), the server demux probe-length
 //     stats at steady state (FlatTable lookups stay near-flat to 1M
@@ -215,12 +216,11 @@ std::string fmt(const char* format, double v) {
   return std::string(buf);
 }
 
-void run(const bench::BenchOptions& opt) {
+void run(const bench::BenchOptions& opt, unsigned shards) {
   // The curve is the point: fixed flow counts, --quick drops the two big
   // cells for the CI smoke/determinism gates (the full run proves 1M).
   std::vector<std::uint64_t> counts = {4096, 10240, 100352, 1000000};
   if (opt.quick) counts.resize(2);
-  const unsigned shards = opt.shards != 0 ? opt.shards : 1;
 
   const auto cells = opt.sweep().map(counts.size(), [&](std::size_t i) {
     const std::uint64_t seed = RandomStream::derive_seed(
@@ -280,7 +280,8 @@ void run(const bench::BenchOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv);
-  run(opt);
+  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv, {"--shards"});
+  const unsigned shards = qoesim::bench::parse_shards(argc, argv);
+  run(opt, shards != 0 ? shards : 1);
   return 0;
 }

@@ -254,10 +254,11 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv);
+  const auto opt = qoesim::bench::BenchOptions::parse(argc, argv, {"--shards"});
+  const unsigned shards = qoesim::bench::parse_shards(argc, argv);
   std::vector<unsigned> counts;
-  if (opt.shards != 0) {
-    counts = {opt.shards};
+  if (shards != 0) {
+    counts = {shards};
   } else {
     counts = {1, 2, 4, 8};
   }

@@ -97,7 +97,10 @@ struct WorkloadSpec {
 WorkloadSpec workload_spec(TestbedType testbed, WorkloadType workload,
                            CongestionDirection direction);
 
-/// A fully specified experimental cell.
+/// A fully specified experimental cell. ExperimentRunner runs every cell
+/// on one Simulation (core::Testbed); nothing here selects the
+/// conservative-PDES engine (core/sharded_engine), which only the
+/// engine-scale benches build on.
 struct ScenarioConfig {
   TestbedType testbed = TestbedType::kAccess;
   WorkloadType workload = WorkloadType::kNoBg;
@@ -115,15 +118,6 @@ struct ScenarioConfig {
   /// with drop-tail bottlenecks or UDP probes.
   bool ecn = false;
   std::uint64_t seed = 1;
-  /// Worker shards for the conservative-PDES engine (core/sharded_engine).
-  /// The paper-figure testbeds are small dumbbells whose internal delays
-  /// sit below any useful lookahead floor -- one short-link cluster -- so
-  /// ExperimentRunner always runs them on the single-scheduler path and
-  /// this field is advisory there (which is exactly why figure output is
-  /// byte-identical across --shards; the CI gate pins that). Engine-scale
-  /// benches (bench_pdes) honor it. Deliberately not part of label(): a
-  /// cell's identity is independent of how many threads execute it.
-  unsigned shards = 1;
 
   AccessParams access;
   BackboneParams backbone;

@@ -16,16 +16,15 @@ ShardedEngine::ShardedEngine(Config cfg) : cfg_(std::move(cfg)) {
     // quantum and a barrier loop that never advances.
     throw std::invalid_argument("ShardedEngine: lookahead_floor must be > 0");
   }
-  spec_.lookahead_floor = cfg_.lookahead_floor;
 }
 
 net::NodeId ShardedEngine::add_node(std::string name, double weight) {
   if (built()) {
     throw std::logic_error("ShardedEngine: add_node after build");
   }
-  spec_.node_names.push_back(std::move(name));
+  names_.push_back(std::move(name));
   weights_.push_back(weight);
-  return static_cast<net::NodeId>(spec_.node_names.size() - 1);
+  return static_cast<net::NodeId>(names_.size() - 1);
 }
 
 std::size_t ShardedEngine::connect(net::NodeId a, net::NodeId b,
@@ -33,18 +32,18 @@ std::size_t ShardedEngine::connect(net::NodeId a, net::NodeId b,
   if (built()) {
     throw std::logic_error("ShardedEngine: connect after build");
   }
-  spec_.decls.push_back({a, b, std::move(ab), std::move(ba)});
-  return spec_.decls.size() - 1;
+  decls_.push_back({a, b, std::move(ab), std::move(ba)});
+  return decls_.size() - 1;
 }
 
 void ShardedEngine::build() {
   if (built()) throw std::logic_error("ShardedEngine: build called twice");
 
   PartitionGraph graph;
-  graph.node_count = spec_.node_names.size();
+  graph.node_count = names_.size();
   graph.node_weight = weights_;
-  graph.edges.reserve(spec_.decls.size());
-  for (const auto& d : spec_.decls) {
+  graph.edges.reserve(decls_.size());
+  for (const Decl& d : decls_) {
     graph.edges.push_back({d.a, d.b, std::min(d.ab.delay, d.ba.delay)});
   }
   plan_ = partition(graph, cfg_.shards, cfg_.lookahead_floor, cfg_.pin);
@@ -62,9 +61,19 @@ void ShardedEngine::build() {
   sim_ptrs.reserve(sims_.size());
   for (auto& sim : sims_) sim_ptrs.push_back(sim.get());
 
-  topo_ = std::make_unique<net::ShardedTopology>(
-      spec_, plan_.shard_of, std::move(sim_ptrs), cfg_.node_stats);
-  topo_->compute_routes();
+  auto topo = std::make_unique<net::Topology>(
+      std::move(sim_ptrs), cfg_.lookahead_floor, cfg_.node_stats);
+  // All nodes before any link, in declaration order: the per-scheduler
+  // construction-time sequence allocations that follow (flow binds, app
+  // timers) then happen in one global order regardless of the shard count.
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    topo->add_node(names_[i], plan_.shard_of[i]);
+  }
+  for (const Decl& d : decls_) {
+    topo->connect(topo->node(d.a), topo->node(d.b), d.ab, d.ba);
+  }
+  topo->compute_routes();
+  topo_ = std::move(topo);
 
   barrier_ = std::make_unique<EpochBarrier>(plan_.shard_count);
   scratch_.resize(plan_.shard_count);

@@ -67,9 +67,11 @@ class ShardedEngine {
   std::size_t connect(net::NodeId a, net::NodeId b, net::LinkSpec ab,
                       net::LinkSpec ba);
 
-  /// Partition the declared graph and instantiate one Simulation per
-  /// shard plus the sharded topology; computes global routes. Callable
-  /// once; add_node/connect must not be called afterwards.
+  /// Partition the declared graph, instantiate one Simulation per shard,
+  /// and build the topology across them in declaration order (node ids,
+  /// link indices and crossing channels then match at every shard count);
+  /// computes global routes. Callable once; add_node/connect must not be
+  /// called afterwards.
   void build();
 
   // ---- after build() ------------------------------------------------------
@@ -80,11 +82,11 @@ class ShardedEngine {
   std::uint32_t shard_count() const { return plan_.shard_count; }
 
   net::Node& node(net::NodeId id) { return topo_->node(id); }
-  Simulation& sim_of(net::NodeId id) { return topo_->sim_of(id); }
+  Simulation& sim_of(net::NodeId id) { return topo_->node(id).sim(); }
   net::Link* link(std::size_t decl, bool forward) {
     return topo_->link(decl, forward);
   }
-  net::ShardedTopology& topology() { return *topo_; }
+  net::Topology& topology() { return *topo_; }
 
   /// Advance every shard to exactly `end` through the epoch/barrier loop,
   /// spawning shard_count-1 worker threads (shard 0 runs on the caller;
@@ -138,13 +140,23 @@ class ShardedEngine {
   void drain_shard(unsigned shard);
   void sample_depth(unsigned shard);
 
+  /// One declared duplex connection, recorded before build() so the
+  /// partitioner can cut the graph before any engine object exists.
+  struct Decl {
+    net::NodeId a = 0;
+    net::NodeId b = 0;
+    net::LinkSpec ab;
+    net::LinkSpec ba;
+  };
+
   Config cfg_;
-  net::ShardedTopologySpec spec_;
+  std::vector<std::string> names_;
   std::vector<double> weights_;
+  std::vector<Decl> decls_;
 
   ShardPlan plan_;
   std::vector<std::unique_ptr<Simulation>> sims_;
-  std::unique_ptr<net::ShardedTopology> topo_;
+  std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<EpochBarrier> barrier_;
   /// Per-shard drain scratch (records merged at one barrier); persists so
   /// steady-state drains allocate nothing.

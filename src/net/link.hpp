@@ -66,9 +66,6 @@ class QOESIM_SHARD_PLANE Link {
   void add_rx_observer(TxObserver obs) {
     rx_observers_.push_back(std::move(obs));
   }
-  [[deprecated("use add_tx_observer")]] void set_tx_observer(TxObserver obs) {
-    add_tx_observer(std::move(obs));
-  }
 
   /// Offer a packet for transmission (enqueue; may drop).
   void send(Packet&& p);

@@ -1,176 +1,40 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 #include <stdexcept>
 
 namespace qoesim::net {
 
-namespace {
+Topology::Topology(std::vector<Simulation*> sims, Time lookahead_floor,
+                   Node::StatsFold* node_stats)
+    : sims_(std::move(sims)),
+      lookahead_floor_(lookahead_floor),
+      node_stats_(node_stats),
+      inbound_(sims_.size()) {}
 
-using Adjacency = std::vector<std::vector<std::pair<NodeId, std::size_t>>>;
-
-// BFS on hop count from every source, shared by both topology variants so
-// a sharded build routes exactly like a single-simulation one.
-// Deterministic tie-breaking: neighbors expand in adjacency (= link
-// construction) order.
-void bfs_routes(const Adjacency& adjacency,
-                const std::vector<std::unique_ptr<Node>>& nodes) {
-  const std::size_t n = nodes.size();
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<std::size_t> dist(n, std::numeric_limits<std::size_t>::max());
-    std::vector<std::ptrdiff_t> first_port(n, -1);
-    std::deque<NodeId> frontier;
-    dist[src] = 0;
-    frontier.push_back(src);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop_front();
-      for (const auto& [v, port] : adjacency[u]) {
-        if (dist[v] != std::numeric_limits<std::size_t>::max()) continue;
-        dist[v] = dist[u] + 1;
-        first_port[v] = u == src ? static_cast<std::ptrdiff_t>(port)
-                                 : first_port[u];
-        frontier.push_back(v);
-      }
-    }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst != src && first_port[dst] >= 0) {
-        nodes[src]->set_next_hop(dst,
-                                 static_cast<std::size_t>(first_port[dst]));
-      }
-    }
+Node& Topology::add_node(const std::string& name, std::uint32_t shard) {
+  if (shard >= sims_.size()) {
+    throw std::invalid_argument("Topology: shard id out of range");
   }
-}
-
-}  // namespace
-
-Node& Topology::add_node(const std::string& name) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Node>(sim_, id, name));
+  nodes_.push_back(std::make_unique<Node>(*sims_[shard], id, name));
   nodes_.back()->set_stats_fold(node_stats_);
+  shard_of_.push_back(shard);
   adjacency_.emplace_back();
   return *nodes_.back();
 }
 
-Link* Topology::make_link(Node& from, Node& to, const LinkSpec& spec) {
-  std::string name = spec.name.empty()
-                         ? from.name() + "->" + to.name()
-                         : spec.name;
-  // Per-link queue seed derived from the scenario seed: RED instances in
-  // different sweep cells (and on different links of one topology) must
-  // not share one drop lottery. The link index salts duplicate names.
-  const std::uint64_t queue_seed = RandomStream::derive_seed(
-      sim_.seed(), "queue/" + std::to_string(links_.size()) + "/" + name);
-  auto queue = make_queue(spec.queue, spec.buffer_packets, queue_seed);
-  queue->set_ecn_marking(spec.ecn);
-  links_.push_back(std::make_unique<Link>(sim_, std::move(name), spec.rate_bps,
-                                          spec.delay, std::move(queue)));
-  Link* link = links_.back().get();
-  Node* dest = &to;
-  link->set_sink([dest](Packet&& p) { dest->receive(std::move(p)); });
-  const std::size_t port = from.add_port(link);
-  adjacency_[from.id()].emplace_back(to.id(), port);
-  return link;
-}
-
-Topology::LinkPair Topology::connect(Node& a, Node& b, LinkSpec a_to_b,
-                                     LinkSpec b_to_a) {
-  LinkPair pair;
-  pair.forward = make_link(a, b, a_to_b);
-  pair.backward = make_link(b, a, b_to_a);
-  return pair;
-}
-
-Node::Stats Topology::node_stats() const {
-  Node::Stats total;
-  for (const auto& node : nodes_) total += node->stats();
-  return total;
-}
-
-void Topology::compute_routes() {
-  // BFS from every destination over reversed edges would be cheaper, but n
-  // is tiny (testbeds have ~12 nodes); BFS from every source is clearer.
-  bfs_routes(adjacency_, nodes_);
-}
-
-// ---------------------------------------------------------------------------
-// ShardedTopology
-
-ShardedTopology::ShardedTopology(const ShardedTopologySpec& spec,
-                                 const std::vector<std::uint32_t>& shard_of,
-                                 std::vector<Simulation*> sims,
-                                 Node::StatsFold* node_stats)
-    : sims_(std::move(sims)),
-      shard_of_(shard_of),
-      node_stats_(node_stats) {
-  if (shard_of_.size() != spec.node_names.size()) {
-    throw std::invalid_argument("ShardedTopology: shard_of size mismatch");
-  }
-  for (const std::uint32_t s : shard_of_) {
-    if (s >= sims_.size()) {
-      throw std::invalid_argument("ShardedTopology: shard id out of range");
-    }
-  }
-
-  // Nodes, in declaration order: global ids, per-shard Simulations. The
-  // per-scheduler construction-time sequence allocations that follow
-  // (flow binds, app timers) then happen in one global order regardless
-  // of the shard count.
-  nodes_.reserve(spec.node_names.size());
-  adjacency_.resize(spec.node_names.size());
-  for (std::size_t i = 0; i < spec.node_names.size(); ++i) {
-    nodes_.push_back(std::make_unique<Node>(*sims_[shard_of_[i]],
-                                            static_cast<NodeId>(i),
-                                            spec.node_names[i]));
-    nodes_.back()->set_stats_fold(node_stats_);
-  }
-
-  inbound_.resize(sims_.size());
-  for (const ShardedTopologySpec::Decl& d : spec.decls) {
-    if (d.a >= nodes_.size() || d.b >= nodes_.size()) {
-      throw std::invalid_argument("ShardedTopology: decl endpoint unknown");
-    }
-    // Mailbox discipline is a property of the declaration's delays alone
-    // (both directions must clear the floor), exactly mirroring the
-    // partitioner's crossing-eligibility rule -- never of whether this
-    // particular assignment separates the endpoints. That keeps the event
-    // schedule invariant across shard counts.
-    const Time min_delay = std::min(d.ab.delay, d.ba.delay);
-    const bool mailboxed = min_delay >= spec.lookahead_floor;
-    if (!mailboxed && shard_of_[d.a] != shard_of_[d.b]) {
-      throw std::invalid_argument(
-          "ShardedTopology: short link crosses a shard boundary (partition "
-          "bug or hand-rolled shard_of)");
-    }
-    const struct {
-      NodeId from, to;
-      const LinkSpec* spec;
-    } dirs[2] = {{d.a, d.b, &d.ab}, {d.b, d.a, &d.ba}};
-    for (const auto& dir : dirs) {
-      Link* link = make_link(*nodes_[dir.from], *nodes_[dir.to], *dir.spec);
-      if (!mailboxed) continue;
-      Crossing crossing;
-      crossing.outbox = std::make_unique<ShardMailbox>();
-      crossing.inbox = std::make_unique<MailboxInbox>(
-          *sims_[shard_of_[dir.to]], *nodes_[dir.to]);
-      crossing.src_shard = shard_of_[dir.from];
-      crossing.dst_shard = shard_of_[dir.to];
-      crossing.link = link;
-      link->set_mailbox(crossing.outbox.get());
-      inbound_[crossing.dst_shard].push_back(
-          static_cast<std::uint32_t>(crossings_.size()));
-      crossings_.push_back(std::move(crossing));
-    }
-  }
-}
-
-Link* ShardedTopology::make_link(Node& from, Node& to, const LinkSpec& spec) {
+Link* Topology::make_link(Node& from, Node& to, const LinkSpec& spec,
+                          bool mailboxed) {
   std::string name =
       spec.name.empty() ? from.name() + "->" + to.name() : spec.name;
-  // Same per-link queue-seed derivation as Topology::make_link, keyed on
-  // the *global* link index, so a RED lottery on link k draws the same
-  // stream at every shard count. All shard sims share the master seed.
+  // Per-link queue seed derived from the scenario seed: RED instances in
+  // different sweep cells (and on different links of one topology) must
+  // not share one drop lottery. The link index salts duplicate names, and
+  // is global, so link k draws the same stream at every shard count (all
+  // shard sims share the master seed).
   Simulation& sim = from.sim();
   const std::uint64_t queue_seed = RandomStream::derive_seed(
       sim.seed(), "queue/" + std::to_string(links_.size()) + "/" + name);
@@ -183,15 +47,76 @@ Link* ShardedTopology::make_link(Node& from, Node& to, const LinkSpec& spec) {
   link->set_sink([dest](Packet&& p) { dest->receive(std::move(p)); });
   const std::size_t port = from.add_port(link);
   adjacency_[from.id()].emplace_back(to.id(), port);
+
+  if (mailboxed) {
+    const std::uint32_t dst_shard = shard_of_[to.id()];
+    Crossing crossing;
+    crossing.outbox = std::make_unique<ShardMailbox>();
+    crossing.inbox = std::make_unique<MailboxInbox>(to.sim(), to);
+    crossing.link = link;
+    link->set_mailbox(crossing.outbox.get());
+    inbound_[dst_shard].push_back(
+        static_cast<std::uint32_t>(crossings_.size()));
+    crossings_.push_back(std::move(crossing));
+  }
   return link;
 }
 
-Node::Stats ShardedTopology::node_stats() const {
+Topology::LinkPair Topology::connect(Node& a, Node& b, LinkSpec a_to_b,
+                                     LinkSpec b_to_a) {
+  // Mailbox discipline is a property of the delays alone (both directions
+  // must clear the floor), exactly mirroring the partitioner's
+  // crossing-eligibility rule -- never of whether this particular
+  // assignment separates the endpoints.
+  const bool mailboxed =
+      std::min(a_to_b.delay, b_to_a.delay) >= lookahead_floor_;
+  if (!mailboxed && shard_of_[a.id()] != shard_of_[b.id()]) {
+    throw std::invalid_argument(
+        "Topology: short link crosses a shard boundary (partition bug or "
+        "hand-rolled shard assignment)");
+  }
+  LinkPair pair;
+  pair.forward = make_link(a, b, a_to_b, mailboxed);
+  pair.backward = make_link(b, a, b_to_a, mailboxed);
+  return pair;
+}
+
+Node::Stats Topology::node_stats() const {
   Node::Stats total;
   for (const auto& node : nodes_) total += node->stats();
   return total;
 }
 
-void ShardedTopology::compute_routes() { bfs_routes(adjacency_, nodes_); }
+void Topology::compute_routes() {
+  // BFS on hop count from every source. BFS from every destination over
+  // reversed edges would be cheaper, but n is tiny (testbeds have ~12
+  // nodes); BFS from every source is clearer. Deterministic tie-breaking:
+  // neighbors expand in adjacency (= link construction) order.
+  const std::size_t n = nodes_.size();
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<std::size_t> dist(n, std::numeric_limits<std::size_t>::max());
+    std::vector<std::ptrdiff_t> first_port(n, -1);
+    std::deque<NodeId> frontier;
+    dist[src] = 0;
+    frontier.push_back(src);
+    while (!frontier.empty()) {
+      const NodeId u = frontier.front();
+      frontier.pop_front();
+      for (const auto& [v, port] : adjacency_[u]) {
+        if (dist[v] != std::numeric_limits<std::size_t>::max()) continue;
+        dist[v] = dist[u] + 1;
+        first_port[v] = u == src ? static_cast<std::ptrdiff_t>(port)
+                                 : first_port[u];
+        frontier.push_back(v);
+      }
+    }
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (dst != src && first_port[dst] >= 0) {
+        nodes_[src]->set_next_hop(dst,
+                                  static_cast<std::size_t>(first_port[dst]));
+      }
+    }
+  }
+}
 
 }  // namespace qoesim::net

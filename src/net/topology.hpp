@@ -2,13 +2,11 @@
 //
 // Owns nodes and links, wires link sinks to peer nodes, and computes static
 // shortest-path routes (BFS on hop count, deterministic tie-breaking).
-// The experiment testbeds (core/testbed.cpp) are built on top of this.
-//
-// ShardedTopology is the conservative-PDES variant: the same declarative
-// node/link description, instantiated across several Simulations (one per
-// shard) with mailbox delivery on every crossing-eligible link. Routing is
-// still computed globally (node ids are global), so a packet's path is
-// independent of the shard assignment.
+// The experiment testbeds (core/testbed.cpp) build on one Simulation; the
+// conservative-PDES engine (core/sharded_engine.cpp) builds the same way
+// across one Simulation per shard, with mailbox delivery on every link
+// that clears its lookahead floor. Routing is computed globally (node ids
+// are global), so a packet's path is independent of the shard assignment.
 #pragma once
 
 #include <cstdint>
@@ -36,26 +34,52 @@ struct LinkSpec {
   std::string name;  ///< optional; auto-derived if empty
 };
 
+/// Construction order is the determinism anchor: node ids, link indices
+/// (and with them per-link queue seeds) and crossing channels all follow
+/// the order of add_node()/connect() calls, at every shard count.
 class Topology {
  public:
-  /// `node_stats` (optional) is the accumulator every node created by this
-  /// topology folds its lifetime counters into on destruction; benches
-  /// pass one down (via core::StatsRegistry) so the harness can assert the
-  /// zero-blackhole invariant across a whole sweep.
+  /// One mailbox link. Its index into crossings() is the global merge
+  /// tie-break key (the channel); inbound() groups the indices by
+  /// destination shard for the barrier drain.
+  struct Crossing {
+    std::unique_ptr<ShardMailbox> outbox;
+    std::unique_ptr<MailboxInbox> inbox;
+    Link* link = nullptr;
+  };
+
+  /// Single-simulation build. The floor is Time::max(), so no link gets a
+  /// mailbox. `node_stats` (optional) is the accumulator every node
+  /// created by this topology folds its lifetime counters into on
+  /// destruction; benches pass one down (via core::StatsRegistry) so the
+  /// harness can assert the zero-blackhole invariant across a whole sweep.
   explicit Topology(Simulation& sim, Node::StatsFold* node_stats = nullptr)
-      : sim_(sim), node_stats_(node_stats) {}
+      : Topology({&sim}, Time::max(), node_stats) {}
+
+  /// Sharded build: `sims` has one Simulation per shard (all sharing the
+  /// master seed, so rng(label) streams are partition-invariant). Every
+  /// link whose smaller direction delay is >= `lookahead_floor` gets a
+  /// ShardMailbox on its tx side paired with a MailboxInbox on its
+  /// destination shard, whether or not its endpoints sit on different
+  /// shards -- decided by delay alone, so the event schedule does not
+  /// depend on the shard count.
+  Topology(std::vector<Simulation*> sims, Time lookahead_floor,
+           Node::StatsFold* node_stats = nullptr);
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
-  Node& add_node(const std::string& name);
+  /// Throws std::invalid_argument if `shard` has no Simulation.
+  Node& add_node(const std::string& name, std::uint32_t shard = 0);
 
   struct LinkPair {
     Link* forward = nullptr;   ///< a -> b
     Link* backward = nullptr;  ///< b -> a
   };
 
-  /// Create a duplex connection between two nodes.
+  /// Create a duplex connection between two nodes. Throws
+  /// std::invalid_argument if a link below the lookahead floor would join
+  /// two shards (partition bug or hand-rolled shard assignment).
   LinkPair connect(Node& a, Node& b, LinkSpec a_to_b, LinkSpec b_to_a);
 
   /// Compute next-hop tables for all node pairs (call after wiring).
@@ -65,93 +89,9 @@ class Topology {
   const Node& node(NodeId id) const { return *nodes_.at(id); }
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Sum of all live nodes' forwarding/demux counters. A healthy topology
-  /// finishes a run with undelivered == unrouted == 0; anything else means
-  /// packets were silently blackholed (misroute or missing handler).
-  Node::Stats node_stats() const;
-
-  Simulation& sim() { return sim_; }
-
- private:
-  Link* make_link(Node& from, Node& to, const LinkSpec& spec);
-
-  Simulation& sim_;
-  Node::StatsFold* node_stats_ = nullptr;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Link>> links_;
-  // adjacency[from] = list of (neighbor, port index on `from`)
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> adjacency_;
-};
-
-/// Declarative description of a shardable topology: nodes and duplex
-/// connections, recorded before any engine object exists so the
-/// partitioner can cut the graph first. Construction order is the
-/// determinism anchor -- node ids, global link indices (and with them
-/// per-link queue seeds), and crossing indices all follow it, at every
-/// shard count.
-struct ShardedTopologySpec {
-  struct Decl {
-    NodeId a = 0;
-    NodeId b = 0;
-    LinkSpec ab;
-    LinkSpec ba;
-  };
-
-  std::vector<std::string> node_names;
-  std::vector<Decl> decls;
-  /// Links whose min-direction delay clears this floor use mailbox
-  /// delivery (and are the only links a shard boundary may cut). Must
-  /// match the floor the partitioner ran with.
-  Time lookahead_floor = Time::milliseconds(1);
-};
-
-/// A topology instantiated across one Simulation per shard. Nodes carry
-/// global ids; every crossing-eligible link (delay >= floor, decided by
-/// delay alone so the event schedule is shard-count-invariant) gets a
-/// ShardMailbox on its tx side paired with a MailboxInbox on its
-/// destination shard, whether or not the assignment actually separates
-/// its endpoints. The engine drains the crossings at barrier epochs.
-class ShardedTopology {
- public:
-  /// One mailbox link. `channel` index into crossings() is the global
-  /// merge tie-break key; inbound lists group crossings by dst_shard for
-  /// the barrier drain.
-  struct Crossing {
-    std::unique_ptr<ShardMailbox> outbox;
-    std::unique_ptr<MailboxInbox> inbox;
-    std::uint32_t src_shard = 0;
-    std::uint32_t dst_shard = 0;
-    Link* link = nullptr;
-  };
-
-  /// `sims` has one Simulation per shard (all sharing the master seed, so
-  /// rng(label) streams are partition-invariant); `shard_of` maps every
-  /// spec node to a shard. Throws std::invalid_argument if a short link's
-  /// endpoints are assigned to different shards.
-  ShardedTopology(const ShardedTopologySpec& spec,
-                  const std::vector<std::uint32_t>& shard_of,
-                  std::vector<Simulation*> sims,
-                  Node::StatsFold* node_stats = nullptr);
-
-  ShardedTopology(const ShardedTopology&) = delete;
-  ShardedTopology& operator=(const ShardedTopology&) = delete;
-
-  /// Global BFS next-hop tables (identical to Topology::compute_routes,
-  /// and to the routes a single-shard build produces).
-  void compute_routes();
-
-  Node& node(NodeId id) { return *nodes_.at(id); }
-  const Node& node(NodeId id) const { return *nodes_.at(id); }
-  std::size_t node_count() const { return nodes_.size(); }
-  Simulation& sim_of(NodeId id) { return *sims_.at(shard_of_.at(id)); }
-  std::uint32_t shard_of(NodeId id) const { return shard_of_.at(id); }
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(sims_.size());
-  }
-
-  /// The two directed links of declaration `decl` (forward = a->b).
-  Link* link(std::size_t decl, bool forward) {
-    return links_.at(decl * 2 + (forward ? 0 : 1)).get();
+  /// The two directed links of the `i`-th connect() call.
+  Link* link(std::size_t i, bool forward) {
+    return links_.at(i * 2 + (forward ? 0 : 1)).get();
   }
 
   const std::vector<Crossing>& crossings() const { return crossings_; }
@@ -160,20 +100,27 @@ class ShardedTopology {
     return inbound_.at(s);
   }
 
-  /// Sum of all live nodes' forwarding/demux counters.
+  /// Sum of all live nodes' forwarding/demux counters. A healthy topology
+  /// finishes a run with undelivered == unrouted == 0; anything else means
+  /// packets were silently blackholed (misroute or missing handler).
   Node::Stats node_stats() const;
 
  private:
-  Link* make_link(Node& from, Node& to, const LinkSpec& spec);
+  Link* make_link(Node& from, Node& to, const LinkSpec& spec, bool mailboxed);
 
   std::vector<Simulation*> sims_;
-  std::vector<std::uint32_t> shard_of_;
+  Time lookahead_floor_;
   Node::StatsFold* node_stats_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::uint32_t> shard_of_;  ///< node id -> shard
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Crossing> crossings_;
   std::vector<std::vector<std::uint32_t>> inbound_;
+  // adjacency[from] = list of (neighbor, port index on `from`)
   std::vector<std::vector<std::pair<NodeId, std::size_t>>> adjacency_;
 };
+
+/// qoebench/harness/workloads.cpp names the PDES engine's topology by this.
+using ShardedTopology = Topology;
 
 }  // namespace qoesim::net

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/partition.hpp"
+#include "core/scenario.hpp"
 
 namespace qoesim::core {
 namespace {
@@ -114,6 +115,43 @@ TEST(Partition, WeightsSteerBalance) {
   EXPECT_EQ(plan.shard_count, 2u);
   const std::uint32_t heavy = plan.shard_of[0];
   for (std::size_t i = 1; i < 4; ++i) EXPECT_NE(plan.shard_of[i], heavy);
+}
+
+// The paper's two dumbbells (Fig. 3a/3b), declared from the
+// AccessParams/BackboneParams defaults in core/testbed.cpp construction
+// order. Neither is one short-link cluster: were they built through the
+// PDES engine, both would split. Figure cells run on one Simulation
+// because ExperimentRunner never builds them through ShardedEngine.
+TEST(Partition, PaperTestbedsAreSeveralClusters) {
+  const AccessParams access;
+  PartitionGraph a;
+  a.node_count = 6;  // dslam, home-router, server0, client0, server1, client1
+  a.edges.push_back({0, 1, Time::microseconds(100)});  // DSL line
+  for (net::NodeId i = 0; i < 2; ++i) {
+    const auto server = static_cast<net::NodeId>(2 + 2 * i);
+    a.edges.push_back({server, 0, access.server_side_delay});
+    a.edges.push_back({1, static_cast<net::NodeId>(server + 1),
+                       access.client_side_delay});
+  }
+  const ShardPlan access_plan = partition(a, 4, kFloor);
+  EXPECT_EQ(access_plan.cluster_count, 5u);
+  EXPECT_EQ(access_plan.quantum, Time::milliseconds(5));
+  EXPECT_EQ(access_plan.shard_count, 4u);
+
+  const BackboneParams backbone;
+  PartitionGraph b;
+  b.node_count = 2 + 2 * backbone.hosts_per_side;  // gsr-left, gsr-right, ...
+  b.edges.push_back({0, 1, backbone.one_way_delay});  // OC3
+  for (std::size_t i = 0; i < backbone.hosts_per_side; ++i) {
+    const auto server = static_cast<net::NodeId>(2 + 2 * i);
+    b.edges.push_back({server, 0, Time::microseconds(50)});
+    b.edges.push_back({1, static_cast<net::NodeId>(server + 1),
+                       Time::microseconds(50)});
+  }
+  const ShardPlan backbone_plan = partition(b, 4, kFloor);
+  EXPECT_EQ(backbone_plan.cluster_count, 2u);
+  EXPECT_EQ(backbone_plan.quantum, Time::milliseconds(30));
+  EXPECT_EQ(backbone_plan.shard_count, 2u);
 }
 
 // Randomized model test: arbitrary graphs, random weights, pins and

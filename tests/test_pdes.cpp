@@ -269,6 +269,76 @@ TEST(ShardedEngine, TcpAcrossShardsInvariant) {
   EXPECT_EQ(three.peak, one.peak);
 }
 
+// One topology declared two ways -- a single-Simulation Topology and the
+// engine at one shard -- wires the same ports in the same order; only the
+// engine build (floor 1 ms) gives links at or above the floor mailboxes.
+TEST(ShardedEngine, BuildsTheSameTopologyAsSingleSimulation) {
+  struct Decl {
+    net::NodeId a, b;
+    Time ab, ba;
+  };
+  const std::vector<Decl> decls = {
+      {0, 1, kDelay, kDelay},
+      {1, 2, Time::microseconds(50), Time::microseconds(50)},
+      {2, 3, Time::milliseconds(1), Time::milliseconds(3)},
+      {1, 3, Time::microseconds(500), kDelay},  // one direction sub-floor
+  };
+  auto spec = [](Time delay) {
+    net::LinkSpec s = long_link();
+    s.delay = delay;
+    return s;
+  };
+
+  Simulation sim;
+  net::Topology single(sim);
+  for (int i = 0; i < 4; ++i) single.add_node("n" + std::to_string(i));
+  for (const Decl& d : decls)
+    single.connect(single.node(d.a), single.node(d.b), spec(d.ab), spec(d.ba));
+
+  ShardedEngine engine(ShardedEngine::Config{});
+  for (int i = 0; i < 4; ++i) engine.add_node("n" + std::to_string(i));
+  for (const Decl& d : decls) engine.connect(d.a, d.b, spec(d.ab), spec(d.ba));
+  engine.build();
+  net::Topology& sharded = engine.topology();
+
+  ASSERT_EQ(sharded.node_count(), single.node_count());
+  for (net::NodeId n = 0; n < single.node_count(); ++n) {
+    const net::Node& x = single.node(n);
+    const net::Node& y = sharded.node(n);
+    ASSERT_EQ(y.port_count(), x.port_count()) << "node " << n;
+    for (std::size_t p = 0; p < x.port_count(); ++p) {
+      EXPECT_EQ(y.port_link(p)->name(), x.port_link(p)->name());
+      EXPECT_EQ(y.port_link(p)->prop_delay(), x.port_link(p)->prop_delay());
+    }
+  }
+
+  EXPECT_TRUE(single.crossings().empty());
+  // Declarations 0 and 2 clear the floor in both directions.
+  const auto& crossings = sharded.crossings();
+  ASSERT_EQ(crossings.size(), 4u);
+  EXPECT_EQ(crossings[0].link, sharded.link(0, true));
+  EXPECT_EQ(crossings[1].link, sharded.link(0, false));
+  EXPECT_EQ(crossings[2].link, sharded.link(2, true));
+  EXPECT_EQ(crossings[3].link, sharded.link(2, false));
+  EXPECT_EQ(sharded.inbound(0).size(), 4u);
+}
+
+TEST(ShardedEngine, TopologyRejectsBadShards) {
+  Simulation s0, s1;
+  net::Topology topo({&s0, &s1}, Time::milliseconds(1));
+  EXPECT_THROW(topo.add_node("x", 2), std::invalid_argument);
+  net::Node& a = topo.add_node("a", 0);
+  net::Node& b = topo.add_node("b", 1);
+  net::LinkSpec lan = long_link();
+  lan.delay = Time::microseconds(50);
+  EXPECT_THROW(topo.connect(a, b, lan, lan), std::invalid_argument);
+  // A link that clears the floor may join the two shards.
+  topo.connect(a, b, long_link(), long_link());
+  ASSERT_EQ(topo.crossings().size(), 2u);
+  EXPECT_EQ(topo.inbound(1), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(topo.inbound(0), std::vector<std::uint32_t>{1});
+}
+
 TEST(ShardedEngine, ValidatesConfiguration) {
   EXPECT_THROW(ShardedEngine(ShardedEngine::Config{.shards = 0}),
                std::invalid_argument);
