@@ -24,7 +24,6 @@ SrttAnalysis::SrttAnalysis(AnalysisConfig config)
 void SrttAnalysis::add(const FlowRecord& flow) {
   ++flows_total_;
   if (flow.samples < config_.min_samples) return;
-  // qoesim-lint: allow(hot-alloc) -- offline dataset analysis, never on the packet path (name-collides with RunningStats::add)
   considered_.push_back(flow);
 
   min_hist_.add(flow.min_srtt_ms);

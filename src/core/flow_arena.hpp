@@ -215,19 +215,15 @@ class FlowArena {
 
     void grow_hot(std::uint32_t nslots) {
       Slab slab;
-      // qoesim-lint: allow(hot-alloc) -- slab growth; free in steady state once the pool warms up
       slab.bytes = std::make_unique<unsigned char[]>(nslots * slot_bytes_);
       slab.first_slot = static_cast<std::uint32_t>(meta_.size());
       slab.nslots = nslots;
-      // qoesim-lint: allow(hot-alloc) -- grows with the slab; steady-state churn reuses slots
       meta_.resize(meta_.size() + nslots);
       // LIFO free list: push in reverse so the lowest slot comes out
       // first (deterministic, matches the scheduler arena's contract).
       for (std::uint32_t i = nslots; i > 0; --i) {
-        // qoesim-lint: allow(hot-alloc) -- capacity grows with the slab; never reallocates afterwards
         free_.push_back(slab.first_slot + i - 1);
       }
-      // qoesim-lint: allow(hot-alloc) -- one entry per slab growth (geometric)
       slabs_.push_back(std::move(slab));
       ++stats.slab_growths;
     }
@@ -253,7 +249,7 @@ class FlowArena {
     }
 
     void raw_deallocate(void* p) {
-      // qoesim-lint: allow(hot-alloc) -- free-list capacity reserved by grow_hot; never reallocates
+      // Capacity reserved by grow_hot(): never reallocates.
       free_.push_back(slot_of(p));
     }
 
@@ -343,13 +339,10 @@ class FlowArena {
       if (cold_free_.empty()) {
         const std::uint32_t n = cold_next_slab_slots_;
         cold_next_slab_slots_ *= 2;
-        // qoesim-lint: allow(hot-alloc) -- cold slab growth; free in steady state once the pool warms up
         auto slab = std::make_unique<unsigned char[]>(n * cold_slot_bytes_);
         for (std::uint32_t i = n; i > 0; --i) {
-          // qoesim-lint: allow(hot-alloc) -- capacity grows with the slab; never reallocates afterwards
           cold_free_.push_back(slab.get() + (i - 1) * cold_slot_bytes_);
         }
-        // qoesim-lint: allow(hot-alloc) -- one entry per slab growth (geometric)
         cold_slabs_.push_back(std::move(slab));
       }
       void* p = cold_free_.back();
@@ -363,7 +356,7 @@ class FlowArena {
     }
 
     void cold_free(void* p) {
-      // qoesim-lint: allow(hot-alloc) -- free-list capacity reserved by cold_alloc; never reallocates
+      // Capacity reserved by cold_alloc(): never reallocates.
       cold_free_.push_back(p);
       ++stats.cold_frees;
       --stats.cold_live;

@@ -1,7 +1,5 @@
 #include "net/codel.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <cmath>
 
 namespace qoesim::net {
@@ -9,7 +7,7 @@ namespace qoesim::net {
 CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
     : QueueDiscipline(capacity_packets), params_(params) {}
 
-QOESIM_HOT bool CoDelQueue::do_enqueue(Packet&& p, Time /*now*/) {
+[[gnu::hot]] bool CoDelQueue::do_enqueue(Packet&& p, Time /*now*/) {
   if (q_.size() >= capacity_) {
     count_drop(p);
     return false;
@@ -50,7 +48,7 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
   return p;
 }
 
-QOESIM_HOT std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
+[[gnu::hot]] std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
   bool ok = true;
   auto p = pop_head(now, ok);
   if (!p) {

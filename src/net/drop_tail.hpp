@@ -3,8 +3,6 @@
 // the Cisco linecard configuration of the testbeds (Table 2).
 #pragma once
 
-#include "sim/annotations.hpp"
-
 #include "net/packet_pool.hpp"
 #include "net/queue.hpp"
 
@@ -20,7 +18,7 @@ class DropTailQueue final : public QueueDiscipline {
   std::string name() const override { return "DropTail"; }
 
  protected:
-  QOESIM_HOT bool do_enqueue(Packet&& p, Time /*now*/) override {
+  [[gnu::hot]] bool do_enqueue(Packet&& p, Time /*now*/) override {
     if (q_.size() >= capacity_) {
       count_drop(p);
       return false;
@@ -30,7 +28,7 @@ class DropTailQueue final : public QueueDiscipline {
     return true;
   }
 
-  QOESIM_HOT std::optional<Packet> do_dequeue(Time /*now*/) override {
+  [[gnu::hot]] std::optional<Packet> do_dequeue(Time /*now*/) override {
     if (q_.empty()) return std::nullopt;
     Packet p = q_.pop();
     bytes_ -= p.size_bytes;

@@ -1,7 +1,6 @@
 #include "net/link.hpp"
 
 #include "net/mailbox.hpp"
-#include "sim/annotations.hpp"
 
 #include <stdexcept>
 #include <utility>
@@ -20,13 +19,13 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
   queue_->set_drain_rate(rate_bps_);
 }
 
-QOESIM_HOT void Link::send(Packet&& p) {
+[[gnu::hot]] void Link::send(Packet&& p) {
   sim_.shard().assert_held();
   queue_->enqueue(std::move(p), sim_.now());
   maybe_start_tx();
 }
 
-QOESIM_HOT void Link::maybe_start_tx() {
+[[gnu::hot]] void Link::maybe_start_tx() {
   if (busy_) return;
   auto next = queue_->dequeue(sim_.now());
   if (!next) return;
@@ -43,7 +42,7 @@ QOESIM_HOT void Link::maybe_start_tx() {
   });
 }
 
-QOESIM_HOT void Link::on_tx_complete(PacketPool::SlotId slot) {
+[[gnu::hot]] void Link::on_tx_complete(PacketPool::SlotId slot) {
   busy_ = false;
   const Packet& p = pool_.at(slot);
   ++delivered_packets_;
@@ -73,7 +72,7 @@ QOESIM_HOT void Link::on_tx_complete(PacketPool::SlotId slot) {
   maybe_start_tx();
 }
 
-QOESIM_HOT void Link::arm_delivery(const WireRing::Entry& entry) {
+[[gnu::hot]] void Link::arm_delivery(const WireRing::Entry& entry) {
   // Always a fresh schedule: when called from inside drain_wire the old
   // event has just fired, so this reuses the just-freed arena slot (the
   // same pooled re-arm idiom as the periodic app timers) -- a fired event
@@ -86,7 +85,7 @@ QOESIM_HOT void Link::arm_delivery(const WireRing::Entry& entry) {
   });
 }
 
-QOESIM_HOT void Link::drain_wire() {
+[[gnu::hot]] void Link::drain_wire() {
   // Exactly one packet per firing: the next entry re-arms at its own
   // reserved seq even when it shares this deliver_at (possible only for
   // zero serialization times), so every delivery keeps its exact FIFO

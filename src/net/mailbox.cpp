@@ -1,7 +1,6 @@
 #include "net/mailbox.hpp"
 
 #include "net/node.hpp"
-#include "sim/annotations.hpp"
 
 #include <utility>
 
@@ -12,7 +11,6 @@ void MailboxInbox::admit(Time when, std::uint64_t seq, Packet&& p) {
     // Grow to the next power of two, unrolling the ring so the live
     // entries occupy [0, size_) -- same idiom as WireRing::push, with
     // moves because entries carry a Packet.
-    // qoesim-lint: allow(hot-alloc) -- geometric ring growth; free once the ring fits the barrier batch
     std::vector<Entry> bigger(buf_.empty() ? 8 : buf_.size() * 2);
     for (std::size_t i = 0; i < size_; ++i)
       bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
@@ -36,7 +34,7 @@ void MailboxInbox::arm(Time when, std::uint64_t seq) {
   });
 }
 
-QOESIM_HOT void MailboxInbox::deliver_front() {
+[[gnu::hot]] void MailboxInbox::deliver_front() {
   Entry& front = buf_[head_];
   Packet p = std::move(front.packet);
   head_ = (head_ + 1) & (buf_.size() - 1);

@@ -62,7 +62,8 @@ class QOESIM_CROSS_SHARD_CHANNEL ShardMailbox {
   /// Producer side (link tx-complete): append one record. The per-mailbox
   /// FIFO counter preserves the link's transmission order across drains.
   void push(Time deliver_at, Packet&& p) {
-    // qoesim-lint: allow(hot-alloc) -- drain_into clears without shrinking, so the batch reaches high-water capacity in warmup and steady-state pushes allocate nothing (same policy as WireRing)
+    // drain_into() clears without shrinking, so the batch stops growing
+    // once it reaches its high-water mark (same policy as WireRing).
     batch_.push_back(
         MailboxRecord{deliver_at, 0, next_link_seq_++, std::move(p)});
   }

@@ -1,7 +1,5 @@
 #include "net/node.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <stdexcept>
 
 namespace qoesim::net {
@@ -68,7 +66,7 @@ void Node::set_default_route(std::size_t port) {
   default_route_ = static_cast<std::ptrdiff_t>(port);
 }
 
-QOESIM_HOT void Node::receive(Packet&& p) {
+[[gnu::hot]] void Node::receive(Packet&& p) {
   sim_.shard().assert_held();
   if (p.dst == id_) {
     deliver_local(std::move(p));
@@ -77,7 +75,7 @@ QOESIM_HOT void Node::receive(Packet&& p) {
   }
 }
 
-QOESIM_HOT void Node::send(Packet&& p) {
+[[gnu::hot]] void Node::send(Packet&& p) {
   sim_.shard().assert_held();
   std::ptrdiff_t port =
       p.dst < routes_.size() ? routes_[p.dst] : std::ptrdiff_t{-1};
@@ -89,7 +87,7 @@ QOESIM_HOT void Node::send(Packet&& p) {
   ports_[static_cast<std::size_t>(port)]->send(std::move(p));
 }
 
-QOESIM_HOT void Node::deliver_local(Packet&& p) {
+[[gnu::hot]] void Node::deliver_local(Packet&& p) {
   const std::uint8_t proto = proto_byte(p.proto);
   std::uint32_t local_port, remote_port;
   if (p.proto == Protocol::kTcp) {

@@ -1,13 +1,11 @@
 #include "net/packet_pool.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <algorithm>
 #include <utility>
 
 namespace qoesim::net {
 
-QOESIM_HOT PacketPool::SlotId PacketPool::acquire(Packet&& p) {
+[[gnu::hot]] PacketPool::SlotId PacketPool::acquire(Packet&& p) {
   ++stats_.acquired;
   stats_.peak_in_flight =
       std::max<std::uint64_t>(stats_.peak_in_flight, in_flight());
@@ -19,27 +17,24 @@ QOESIM_HOT PacketPool::SlotId PacketPool::acquire(Packet&& p) {
   }
   ++stats_.slab_growths;
   const SlotId slot = static_cast<SlotId>(slots_.size());
-  // qoesim-lint: allow(hot-alloc) -- slab growth; free in steady state once the pool warms up
   slots_.push_back(std::move(p));
   // The free stack can hold at most one entry per slot; reserving alongside
   // the slab keeps release() allocation-free.
-  // qoesim-lint: allow(hot-alloc) -- grows with the slab so release() below never reallocates
   free_.reserve(slots_.size());
   return slot;
 }
 
-QOESIM_HOT Packet PacketPool::release(SlotId slot) {
+[[gnu::hot]] Packet PacketPool::release(SlotId slot) {
   ++stats_.released;
-  // qoesim-lint: allow(hot-alloc) -- capacity reserved in acquire(); never reallocates
+  // Capacity reserved in acquire(): never reallocates.
   free_.push_back(slot);
   return std::move(slots_[slot]);
 }
 
-QOESIM_HOT void WireRing::push(Entry e) {
+[[gnu::hot]] void WireRing::push(Entry e) {
   if (size_ == buf_.size()) {
     // Grow to the next power of two, unrolling the ring so the live
     // entries occupy [0, size_).
-    // qoesim-lint: allow(hot-alloc) -- geometric ring growth; free once the ring fits the BDP
     std::vector<Entry> bigger(buf_.empty() ? 8 : buf_.size() * 2);
     for (std::size_t i = 0; i < size_; ++i)
       bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
@@ -50,7 +45,7 @@ QOESIM_HOT void WireRing::push(Entry e) {
   ++size_;
 }
 
-QOESIM_HOT void WireRing::pop() {
+[[gnu::hot]] void WireRing::pop() {
   head_ = (head_ + 1) & (buf_.size() - 1);
   --size_;
 }
@@ -59,7 +54,6 @@ void PacketRing::next_block() {
   if (blocks_live_ == blocks_.size()) {
     // Every ring position holds queued packets: double the pointer ring,
     // unrolling the live blocks into [0, blocks_live_). Packets stay put.
-    // qoesim-lint: allow(hot-alloc) -- geometric growth of the block-pointer ring up to the queue's peak occupancy; never shrinks
     std::vector<std::unique_ptr<Block>> bigger(
         blocks_.empty() ? 1 : blocks_.size() * 2);
     for (std::size_t i = 0; i < blocks_live_; ++i)
@@ -70,7 +64,8 @@ void PacketRing::next_block() {
   std::unique_ptr<Block>& slot =
       blocks_[(first_ + blocks_live_) & (blocks_.size() - 1)];
   if (!slot) {
-    // qoesim-lint: allow(hot-alloc) -- first pass over this ring position; blocks are refilled in place, never freed, so steady state allocates nothing
+    // First pass over this ring position: blocks are refilled in place and
+    // never freed.
     slot = std::make_unique<Block>();
   }
   back_ = slot.get();

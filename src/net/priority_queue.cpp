@@ -1,7 +1,5 @@
 #include "net/priority_queue.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <algorithm>
 #include <cmath>
 
@@ -25,7 +23,7 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   low_capacity_ = capacity_packets - high_capacity_;
 }
 
-QOESIM_HOT bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
+[[gnu::hot]] bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
   if (is_high_priority(p)) {
     if (high_.size() >= high_capacity_) {
       ++high_drops_;
@@ -46,7 +44,7 @@ QOESIM_HOT bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
   return true;
 }
 
-QOESIM_HOT std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
+[[gnu::hot]] std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
   PacketRing* source = nullptr;
   if (!high_.empty()) {
     source = &high_;

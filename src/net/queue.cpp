@@ -1,7 +1,5 @@
 #include "net/queue.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <stdexcept>
 
 #include "net/codel.hpp"
@@ -11,7 +9,7 @@
 
 namespace qoesim::net {
 
-QOESIM_HOT bool QueueDiscipline::enqueue(Packet&& p, Time now) {
+[[gnu::hot]] bool QueueDiscipline::enqueue(Packet&& p, Time now) {
   ++stats_.offered;
   stats_.bytes_offered += p.size_bytes;
   p.enqueued_at = now;
@@ -24,7 +22,7 @@ QOESIM_HOT bool QueueDiscipline::enqueue(Packet&& p, Time now) {
   return accepted;
 }
 
-QOESIM_HOT std::optional<Packet> QueueDiscipline::dequeue(Time now) {
+[[gnu::hot]] std::optional<Packet> QueueDiscipline::dequeue(Time now) {
   auto p = do_dequeue(now);
   if (p) ++stats_.dequeued;
   return p;

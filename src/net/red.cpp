@@ -1,7 +1,5 @@
 #include "net/red.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <algorithm>
 #include <cmath>
 
@@ -18,7 +16,7 @@ void RedQueue::set_drain_rate(double bps) {
   }
 }
 
-QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
+[[gnu::hot]] bool RedQueue::do_enqueue(Packet&& p, Time now) {
   // Static-only bridge (the override's base declaration carries no shard
   // annotation): callers were dynamically checked upstream in Link::send.
   shard_plane.assert_held();
@@ -86,7 +84,7 @@ QOESIM_HOT bool RedQueue::do_enqueue(Packet&& p, Time now) {
   return true;
 }
 
-QOESIM_HOT std::optional<Packet> RedQueue::do_dequeue(Time now) {
+[[gnu::hot]] std::optional<Packet> RedQueue::do_dequeue(Time now) {
   if (q_.empty()) {
     // The transmitter found the queue empty: an idle period starts (ns-2
     // does the same on an empty dequeue).

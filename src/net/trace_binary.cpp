@@ -115,8 +115,8 @@ void BinaryTracer::observe_link(Link& link, std::uint16_t point) {
   });
 }
 
-QOESIM_HOT void BinaryTracer::record(const Packet& p, Time now, TraceEvent e,
-                                     std::uint16_t point) {
+[[gnu::hot]] void BinaryTracer::record(const Packet& p, Time now,
+                                       TraceEvent e, std::uint16_t point) {
   if (!trace_sampled(p.uid, cfg_.sample_every)) return;
   if (used_ + kTraceRecordBytes > buf_.size()) {
     ++overflow_;

@@ -3,9 +3,10 @@
 // A BinaryTracer streams fixed-width 64-byte little-endian records into a
 // preallocated buffer: time, tap point, TraceEvent, flow 4-tuple,
 // seq/ack/len/flags/ECN. The write path is allocation-free in steady state
-// (QOESIM_HOT contract), so figure benches can trace the bottleneck at
-// full event rate; deterministic 1-in-N packet sampling (by uid hash, so
-// all events of one packet sample together) keeps long sweeps cheap.
+// (tests/test_alloc_gate.cpp measures it), so figure benches can trace the
+// bottleneck at full event rate; deterministic 1-in-N packet sampling (by
+// uid hash, so all events of one packet sample together) keeps long sweeps
+// cheap.
 //
 // The on-disk format is a 16-byte header followed by records; the record
 // count is derived from the remaining file size, so per-cell trace bodies
@@ -44,7 +45,6 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/tracer.hpp"
-#include "sim/annotations.hpp"
 
 namespace qoesim::net {
 

@@ -1,7 +1,5 @@
 #include "sim/event.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -39,7 +37,6 @@ std::uint32_t Scheduler::acquire_slot() {
     throw std::length_error(
         "Scheduler: more than 2^24 simultaneously pending events");
   }
-  // qoesim-lint: allow(hot-call-graph) -- arena growth; free-list recycling makes steady state allocation-free
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -68,7 +65,7 @@ void Scheduler::release_slot(std::uint32_t slot) {
 
 void Scheduler::heap_push(unsigned lane, HeapEntry entry) {
   std::vector<HeapEntry>& heap = lanes_[lane];
-  // qoesim-lint: allow(hot-call-graph) -- capacity is pre-grown geometrically in schedule_with_seq; never reallocates here
+  // Capacity is pre-grown in schedule_with_seq(): never reallocates here.
   heap.push_back(entry);
   heap_sift_up(lane, heap.size() - 1);
   const std::size_t depth = pending_events();
@@ -175,7 +172,6 @@ std::uint32_t Scheduler::schedule_with_seq(unsigned lane, Time when,
                                            std::uint64_t seq, Callback&& cb) {
   std::vector<HeapEntry>& heap = lanes_[lane];
   if (heap.size() == heap.capacity()) {
-    // qoesim-lint: allow(hot-call-graph) -- geometric heap growth, steady-state free once peak depth is reached
     heap.reserve(heap.capacity() == 0 ? 64 : heap.capacity() * 2);
   }
   const std::uint32_t slot = acquire_slot();
@@ -218,7 +214,7 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   return true;
 }
 
-QOESIM_HOT void Scheduler::fire_head(unsigned lane) {
+[[gnu::hot]] void Scheduler::fire_head(unsigned lane) {
   const HeapEntry head = lanes_[lane][0];
   heap_remove(lane, 0);
   now_ = head.when;
@@ -233,7 +229,7 @@ QOESIM_HOT void Scheduler::fire_head(unsigned lane) {
   cb();
 }
 
-QOESIM_HOT bool Scheduler::step() {
+[[gnu::hot]] bool Scheduler::step() {
   // A bare step() is a one-event epoch: adopt the calling thread (aborts
   // in debug builds if another thread's epoch is live).
   shard_.begin_epoch();
@@ -243,7 +239,7 @@ QOESIM_HOT bool Scheduler::step() {
   return true;
 }
 
-QOESIM_HOT void Scheduler::run_until(Time until) {
+[[gnu::hot]] void Scheduler::run_until(Time until) {
   // Epoch scope: the calling thread owns this shard until the driver
   // returns; ownership is released at exit so the simulation may resume
   // on a different thread later (sweep-cell handoff).
@@ -255,7 +251,7 @@ QOESIM_HOT void Scheduler::run_until(Time until) {
   if (now_ < until) now_ = until;
 }
 
-QOESIM_HOT void Scheduler::run_before(Time until) {
+[[gnu::hot]] void Scheduler::run_before(Time until) {
   // Same epoch scope as run_until, but the bound is exclusive: a shard's
   // epoch [T, T+Q) must leave events at exactly T+Q unfired, because the
   // barrier drain at T+Q may admit cross-shard deliveries for that very
@@ -270,7 +266,7 @@ QOESIM_HOT void Scheduler::run_before(Time until) {
   if (now_ < until) now_ = until;
 }
 
-QOESIM_HOT void Scheduler::run() {
+[[gnu::hot]] void Scheduler::run() {
   const ShardGuard epoch(&shard_);
   for (unsigned lane = next_lane(); lane != kNoLane; lane = next_lane()) {
     fire_head(lane);

@@ -48,7 +48,6 @@ struct BoxplotStats {
 /// Sample container with order statistics. Stores all samples.
 class Samples {
  public:
-  // qoesim-lint: allow(hot-alloc) -- probe-side sample buffer; hot paths record into fixed-size RunningStats (name collision on add)
   void add(double x) { data_.push_back(x); sorted_ = false; }
   void add_all(const std::vector<double>& xs);
 

@@ -13,7 +13,6 @@ BinnedSeries::BinnedSeries(qoesim::Time bin_width) : bin_width_(bin_width) {
 void BinnedSeries::add(qoesim::Time t, double value) {
   if (t.is_negative()) return;
   const auto idx = static_cast<std::size_t>(t.ns() / bin_width_.ns());
-  // qoesim-lint: allow(hot-alloc) -- one bin per elapsed second, geometric vector growth (amortized O(1))
   if (idx >= values_.size()) values_.resize(idx + 1, 0.0);
   values_[idx] += value;
 }

@@ -1,7 +1,5 @@
 #include "tcp/tcp_socket.hpp"
 
-#include "sim/annotations.hpp"
-
 #include <algorithm>
 #include <sstream>
 #include <tuple>
@@ -477,7 +475,7 @@ void TcpSocket::retransmit_head() {
   }
 }
 
-QOESIM_HOT void TcpSocket::maybe_send_data() {
+[[gnu::hot]] void TcpSocket::maybe_send_data() {
   if (state_ != State::kEstablished && state_ != State::kFinWait) return;
 
   const std::uint64_t data_end = 1 + app_bytes_queued_;
@@ -595,9 +593,9 @@ void fill_sack(net::TcpSegment& seg, const IntervalSet* ooo) {
 
 }  // namespace
 
-QOESIM_HOT void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t len,
-                                       bool fin,
-                             bool is_retransmit) {
+[[gnu::hot]] void TcpSocket::send_segment(std::uint64_t seq,
+                                          std::uint32_t len, bool fin,
+                                          bool is_retransmit) {
   net::Packet p;
   p.uid = sim_.next_packet_uid();
   p.flow = flow_id_;
@@ -770,7 +768,7 @@ void TcpSocket::cancel_rto() {
   tlp_timer_.cancel();
 }
 
-QOESIM_HOT void TcpSocket::arm_pacer(Time deadline) {
+[[gnu::hot]] void TcpSocket::arm_pacer(Time deadline) {
   // Same re-arm idiom as the RTO: move the pending timer in place
   // (allocation-free fast path), rebuild only after it fired.
   if (!pacing_timer_.reschedule(deadline)) {

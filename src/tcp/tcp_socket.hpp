@@ -83,8 +83,8 @@ struct TcpStats {
 /// Shard-plane: a socket is driven entirely by its node's shard (timers
 /// fire inside the owning epoch, segments arrive through Node's demux,
 /// whose entry points carry the dynamic thread check). Marked so
-/// qoesim_lint's shard-state and cold-state checks patrol new members for
-/// unannotated shared-ownership or node-per-entry container state.
+/// qoesim_lint's shard-state check patrols new members for unannotated
+/// shared-ownership state.
 ///
 /// Memory contract (README "flow lifecycle & memory contract"): a socket
 /// lives in one pooled slot of its node's FlowArena -- control block and

@@ -7,29 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/drop_tail.hpp"
 #include "sim/simulation.hpp"
-
-// Counting replacement of the global allocator (this test binary only):
-// every operator new, including the array and nothrow forms that forward
-// to it, bumps the counter, so a test can assert that a window of
-// simulation performs zero allocations.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace qoesim::net {
 namespace {
@@ -234,9 +216,9 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
     const std::uint64_t delivered_before = delivered;
     const std::uint64_t depth_before = depth_sum;
     const std::uint64_t dropped_before = link.queue().stats().dropped;
-    const std::uint64_t allocs_before = g_allocations.load();
+    const std::uint64_t allocs_before = testutil::allocations();
     sim.run_until(Time::seconds(3));
-    const std::uint64_t allocs = g_allocations.load() - allocs_before;
+    const std::uint64_t allocs = testutil::allocations() - allocs_before;
 
     EXPECT_EQ(allocs, 0u) << "steady-state forwarding allocated";
     const std::uint64_t window = delivered - delivered_before;

@@ -1,6 +1,6 @@
-// qoesim_lint v4 -- project-specific static analysis for the qoesim engine.
+// qoesim_lint v5 -- project-specific static analysis for the qoesim engine.
 //
-// Nine checks, all enforcing the determinism & shared-state contract and
+// Six checks, all enforcing the determinism & shared-state contract and
 // the shard-ownership contract documented in README.md:
 //
 //   global-state   No new process-wide mutable state: namespace-scope
@@ -11,26 +11,6 @@
 //                  roadmap item) and what made per-cell results depend on
 //                  process history; everything must hang off Simulation
 //                  or a caller-owned registry.
-//
-//   hot-alloc      Functions whose definition is annotated QOESIM_HOT
-//                  (see src/sim/annotations.hpp) must be allocation-free:
-//                  no operator new, malloc-family calls,
-//                  make_shared/make_unique, allocating container member
-//                  calls (push_back, insert, resize, ...), or local
-//                  std:: container construction -- directly or in a
-//                  function they call (one level, resolved by name over
-//                  every linted file).
-//
-//   hot-call-graph The transitive extension of hot-alloc: allocations
-//                  two to four calls deep from a QOESIM_HOT root, found
-//                  by a breadth-first walk of the same-project call
-//                  graph. Beyond the first level only unambiguous
-//                  non-member call sites are followed (common member
-//                  names like `.at()` resolve to the wrong class too
-//                  often for deeper union-chasing). Reported with the
-//                  discovery path so the chain is auditable. A site
-//                  suppressed for hot-alloc is also exempt here (same
-//                  contract, deeper evidence).
 //
 //   determinism    Banned entropy/wall-clock sources: rand(), srand(),
 //                  std::random_device, time(), clock(), system_clock /
@@ -59,17 +39,6 @@
 //                  stating who guards them. Per-shard classes otherwise
 //                  accrete quietly-shared state that blocks PDES.
 //
-//   cold-state     The transport plane's per-flow memory contract (see
-//                  README "flow lifecycle & memory contract"): members of
-//                  a QOESIM_SHARD_PLANE class in a `tcp` namespace that
-//                  cost heap per flow -- shared_ptr/weak_ptr owners and
-//                  std::map / std::unordered_map -- must carry a
-//                  `// cold: <reason>` comment (same or previous line)
-//                  stating why the state may not live in the pooled hot
-//                  slot or the lazily-attached cold block. At 1M
-//                  concurrent flows an unjustified map member is the
-//                  difference between ~1 KB and ~100 B per flow.
-//
 //   mailbox        Classes marked QOESIM_CROSS_SHARD_CHANNEL (the SPSC
 //                  mailbox family in net/mailbox.hpp -- the ONE
 //                  sanctioned structure that two shards may both touch)
@@ -83,28 +52,30 @@
 //                  hide ordering the determinism contract forbids).
 //
 // The tool is deliberately self-contained (a C++ tokenizer with a scope
-// tracker and a name-resolved call graph, no libclang dependency) so it
-// builds and runs anywhere the project does; the token-level approach is
-// conservative where noted in checks below.
+// tracker, no libclang dependency) so it builds and runs anywhere the
+// project does; the token-level approach is conservative where noted in
+// checks below. Whether the per-packet path allocates is not inferred
+// here: tests/test_alloc_gate.cpp measures it.
 //
 // Modes:
 //   qoesim_lint --root <repo> [--compdb build/compile_commands.json]
 //               [--allowlist tools/lint/allowlist.txt]
 //       Lint every *.cpp / *.hpp / *.h under <repo>/src, <repo>/bench,
 //       and <repo>/tools (tools/lint/fixtures excluded -- they are
-//       deliberate violations). Exit 1 on any finding, 2 on usage or
-//       allowlist errors.
+//       deliberate violations). Exit 1 on any finding, 2 on usage,
+//       allowlist or suppression errors.
 //
 //   qoesim_lint --fixtures <dir>
 //       Self-test: lint each *.cpp in <dir> standalone and compare the
 //       findings against its `// LINT-EXPECT: <check>` annotations.
 //       Exit 1 on any mismatch (missed positive OR spurious finding).
 //
-// Suppressions: `// qoesim-lint: allow(<check>[,<check>]) -- <reason>`
+// Suppressions: `// qoesim-lint: allow(determinism,pointer-order) -- why`
 // applies to its own line and the next. The allowlist file holds
 // `<path-suffix> <check> <identifier>` triples for findings that cannot
-// carry an inline comment; malformed lines and unknown check names are
-// hard errors (exit 2) so a typo cannot silently disable a suppression.
+// carry an inline comment. Unknown check names (inline or allowlisted)
+// and malformed allowlist lines are hard errors (exit 2), so a typo or a
+// suppression of a deleted check cannot silently linger.
 
 #include <algorithm>
 #include <cctype>
@@ -115,9 +86,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace {
@@ -138,10 +106,6 @@ struct LintDirectives {
   std::map<int, std::set<std::string>> suppress;
   // (line, check) pairs a fixture expects the tool to report.
   std::set<std::pair<int, std::string>> expect;
-  // Lines whose comment starts with `cold:` -- the cold-state check's
-  // justification marker (covers its own line and the next, like a
-  // suppression).
-  std::set<int> cold;
 };
 
 struct LexedFile {
@@ -152,7 +116,7 @@ struct LexedFile {
 
 void parse_comment_directives(const std::string& comment, int line,
                               LintDirectives* out) {
-  // qoesim-lint: allow(check-a,check-b) -- reason
+  // `qoesim-lint` marker, then allow(<check>[,<check>]) and a reason.
   if (const auto pos = comment.find("qoesim-lint:"); pos != std::string::npos) {
     const auto open = comment.find("allow(", pos);
     if (open != std::string::npos) {
@@ -168,16 +132,6 @@ void parse_comment_directives(const std::string& comment, int line,
         }
       }
     }
-  }
-  // cold: <reason> -- the comment must *start* with the marker (after
-  // whitespace) so prose that merely mentions cold state does not count
-  // as a justification.
-  {
-    std::size_t p = 0;
-    while (p < comment.size() &&
-           std::isspace(static_cast<unsigned char>(comment[p])))
-      ++p;
-    if (comment.compare(p, 5, "cold:") == 0) out->cold.insert(line);
   }
   // LINT-EXPECT: check-name
   if (const auto pos = comment.find("LINT-EXPECT:"); pos != std::string::npos) {
@@ -341,16 +295,6 @@ bool suppressed(const LintDirectives& d, int line, const std::string& check) {
 
 enum class ScopeKind { kNamespace, kClass, kEnum, kFunction, kBlock, kInit };
 
-struct FunctionDef {
-  std::string name;       // unqualified, the call-resolution key
-  std::string qualified;  // for messages
-  const LexedFile* file = nullptr;
-  int line = 0;
-  std::size_t body_begin = 0;  // token index just past `{`
-  std::size_t body_end = 0;    // token index of matching `}`
-  bool hot = false;
-};
-
 bool is_keyword(const std::string& s) {
   static const std::set<std::string> kw = {
       "alignas",      "alignof",   "asm",          "auto",
@@ -457,69 +401,17 @@ bool is_function_header(const std::vector<Tok>& stmt) {
   return false;
 }
 
-// Extract "Class::name" and the unqualified name from a function header.
-void function_names(const std::vector<Tok>& stmt, std::string* qualified,
-                    std::string* name) {
-  // Find the opening paren that matches the last top-level `)` (same walk
-  // as is_function_header), then read the id-expression before it.
-  int depth = 0;
-  std::ptrdiff_t open = -1;
-  for (std::ptrdiff_t k = static_cast<std::ptrdiff_t>(stmt.size()) - 1; k >= 0;
-       --k) {
-    const Tok& t = stmt[k];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == ")") ++depth;
-    if (t.text == "(") {
-      --depth;
-      if (depth == 0) {
-        open = k;
-        break;
-      }
-    }
-  }
-  *qualified = "?";
-  *name = "?";
-  if (open <= 0) return;
-  std::ptrdiff_t k = open - 1;
-  std::vector<std::string> parts;
-  while (k >= 0) {
-    const Tok& t = stmt[k];
-    if (t.kind == TokKind::kIdent && !is_keyword(t.text)) {
-      parts.push_back(t.text);
-      --k;
-      if (k >= 0 && stmt[k].kind == TokKind::kPunct && stmt[k].text == "::") {
-        --k;
-        continue;
-      }
-    }
-    break;
-  }
-  if (parts.empty()) return;
-  *name = parts.front();  // last component
-  std::string q;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    if (!q.empty()) q += "::";
-    q += *it;
-  }
-  *qualified = q;
-}
-
 // --------------------------------------------------------- the analyzer
 
 class Analyzer {
  public:
-  // Lex + structural pass: find function definitions (and QOESIM_HOT
-  // marks) and run the global-state statement checks.
-  void add_file(LexedFile file) {
-    files_.push_back(std::move(file));
-  }
+  void add_file(LexedFile file) { files_.push_back(std::move(file)); }
 
   void run() {
     for (auto& f : files_) structural_pass(f);
     for (auto& f : files_) determinism_pass(f);
     for (auto& f : files_) unordered_pass(f);
     for (auto& f : files_) pointer_order_pass(f);
-    hot_alloc_pass();
   }
 
   const std::vector<Finding>& findings() const { return findings_; }
@@ -535,10 +427,6 @@ class Analyzer {
     // For kClass scopes: the class head carried
     // QOESIM_CROSS_SHARD_CHANNEL, so the mailbox member checks apply.
     bool cross_channel = false;
-    // The scope sits inside (or is) a namespace named `tcp` -- the
-    // transport plane, where the cold-state per-flow memory check
-    // applies. Propagated down through every nested scope.
-    bool transport = false;
   };
 
   void report(const LexedFile& f, int line, const std::string& check,
@@ -618,30 +506,6 @@ class Analyzer {
                      : "shared-ownership member of a QOESIM_SHARD_PLANE "
                        "class without QOESIM_PT_GUARDED_BY (shared_ptr "
                        "crosses shard lifetimes; state who guards it)");
-        }
-      }
-      if (scopes.back().shard_plane && scopes.back().transport &&
-          !has_static && !is_declaration_function_like(stmt)) {
-        // Per-flow memory contract: heap-per-flow members in a transport
-        // class need a `// cold:` justification. shared_ptr/weak_ptr by
-        // bare name; map/unordered_map only when std::-qualified so a
-        // member *named* `map` does not match.
-        bool heavy = stmt_has_ident(stmt, "shared_ptr") ||
-                     stmt_has_ident(stmt, "weak_ptr");
-        for (std::size_t k = 0; !heavy && k + 2 < stmt.size(); ++k) {
-          heavy = stmt[k].text == "std" && stmt[k + 1].text == "::" &&
-                  (stmt[k + 2].text == "map" ||
-                   stmt[k + 2].text == "unordered_map");
-        }
-        const bool justified = f.directives.cold.count(line) > 0 ||
-                               f.directives.cold.count(line - 1) > 0;
-        if (heavy && !justified) {
-          report(f, line, "cold-state", decl_name(stmt),
-                 "heap-per-flow member (shared_ptr/map) of a transport "
-                 "QOESIM_SHARD_PLANE class without a `// cold:` "
-                 "justification (at 1M flows this dominates bytes/flow; "
-                 "pool it in the hot slot or the lazy cold block, or "
-                 "state why it cannot be)");
         }
       }
       if (scopes.back().cross_channel && !has_static &&
@@ -763,7 +627,7 @@ class Analyzer {
     return "?";
   }
 
-  // ---- structural pass: scopes, statements, function index --------
+  // ---- structural pass: scopes, statements --------------------------
   void structural_pass(const LexedFile& f) {
     std::vector<Scope> scopes;
     std::vector<Tok> stmt;
@@ -786,26 +650,12 @@ class Analyzer {
       }
       if (t.kind == TokKind::kPunct && t.text == "{") {
         const ScopeKind kind = classify_brace(scopes, stmt);
-        if (kind == ScopeKind::kFunction) {
-          FunctionDef def;
-          function_names(stmt, &def.qualified, &def.name);
-          def.file = &f;
-          def.line = t.line;
-          def.body_begin = i + 1;
-          def.body_end = matching_brace(toks, i);
-          def.hot = stmt_has_ident(stmt, "QOESIM_HOT");
-          index_[def.name].push_back(functions_.size());
-          functions_.push_back(def);
-        }
         if (kind == ScopeKind::kInit) {
           // The statement continues past the brace group; keep `stmt`.
           scopes.push_back({kind, {}});
           continue;
         }
         Scope sc{kind, {}};
-        sc.transport = (!scopes.empty() && scopes.back().transport) ||
-                       (kind == ScopeKind::kNamespace &&
-                        stmt_has_ident(stmt, "tcp"));
         if (kind == ScopeKind::kClass) {
           sc.shard_plane = stmt_has_ident(stmt, "QOESIM_SHARD_PLANE");
           sc.cross_channel =
@@ -839,20 +689,6 @@ class Analyzer {
       }
       stmt.push_back(t);
     }
-  }
-
-  static std::size_t matching_brace(const std::vector<Tok>& toks,
-                                    std::size_t open) {
-    int depth = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-      if (toks[k].kind != TokKind::kPunct) continue;
-      if (toks[k].text == "{") ++depth;
-      if (toks[k].text == "}") {
-        --depth;
-        if (depth == 0) return k;
-      }
-    }
-    return toks.size();
   }
 
   ScopeKind classify_brace(const std::vector<Scope>& scopes,
@@ -1154,214 +990,7 @@ class Analyzer {
     return toks.size();
   }
 
-  // ---- check family: hot-alloc -------------------------------------
-  struct DirectAlloc {
-    int line;
-    std::string what;
-  };
-
-  // Direct banned-allocation tokens inside [begin, end) of file f.
-  std::vector<DirectAlloc> direct_allocs(const LexedFile& f, std::size_t begin,
-                                         std::size_t end) const {
-    static const std::set<std::string> alloc_fns = {
-        "malloc", "calloc",  "realloc",      "aligned_alloc",
-        "strdup", "strndup", "posix_memalign"};
-    static const std::set<std::string> make_fns = {
-        "make_shared", "make_unique", "make_shared_for_overwrite",
-        "make_unique_for_overwrite"};
-    static const std::set<std::string> member_allocs = {
-        "push_back", "emplace_back", "emplace",       "emplace_front",
-        "push_front", "insert",      "resize",        "reserve",
-        "assign",     "append",      "shrink_to_fit"};
-    static const std::set<std::string> containers = {
-        "vector", "string", "deque",         "list",
-        "map",    "set",    "unordered_map", "unordered_set",
-        "multimap", "multiset", "basic_string"};
-    // Stream construction allocates (stringstream buffers, ofstream file
-    // state) and formatted insertion allocates under the hood; the binary
-    // trace write path exists precisely so hot code never formats text.
-    static const std::set<std::string> streams = {
-        "stringstream", "ostringstream", "istringstream",
-        "ofstream",     "ifstream",      "fstream"};
-    std::vector<DirectAlloc> out;
-    const auto& toks = f.toks;
-    for (std::size_t k = begin; k < end && k < toks.size(); ++k) {
-      const Tok& t = toks[k];
-      if (t.kind != TokKind::kIdent) continue;
-      const bool member = k > 0 && toks[k - 1].kind == TokKind::kPunct &&
-                          (toks[k - 1].text == "." || toks[k - 1].text == "->");
-      const bool called = k + 1 < toks.size() &&
-                          toks[k + 1].kind == TokKind::kPunct &&
-                          toks[k + 1].text == "(";
-      if (t.text == "new" && !member) {
-        out.push_back({t.line, "operator new"});
-        continue;
-      }
-      if (alloc_fns.count(t.text) > 0 && called && !member) {
-        out.push_back({t.line, t.text + "()"});
-        continue;
-      }
-      const bool called_tmpl =
-          called ||
-          (k + 1 < toks.size() && toks[k + 1].kind == TokKind::kPunct &&
-           toks[k + 1].text == "<");
-      if (make_fns.count(t.text) > 0 && called_tmpl) {
-        out.push_back({t.line, "std::" + t.text});
-        continue;
-      }
-      if (member_allocs.count(t.text) > 0 && member && called) {
-        out.push_back({t.line, "." + t.text + "()"});
-        continue;
-      }
-      if (t.text == "to_string" && called && !member) {
-        out.push_back({t.line, "std::to_string (allocates a string)"});
-        continue;
-      }
-      // Local std:: container construction: `std :: vector < ... > name`.
-      // Pointer/reference declarations and nested-type uses
-      // (`std::deque<P>* q`, `std::vector<T>::iterator`) do not allocate.
-      if ((containers.count(t.text) > 0 || streams.count(t.text) > 0) &&
-          k >= 2 &&
-          toks[k - 1].kind == TokKind::kPunct && toks[k - 1].text == "::" &&
-          toks[k - 2].kind == TokKind::kIdent && toks[k - 2].text == "std") {
-        std::size_t j = k + 1;
-        if (j < toks.size() && toks[j].kind == TokKind::kPunct &&
-            toks[j].text == "<") {
-          int angle = 0;
-          for (; j < toks.size(); ++j) {
-            if (toks[j].kind != TokKind::kPunct) continue;
-            if (toks[j].text == "<") ++angle;
-            if (toks[j].text == ">" && --angle == 0) {
-              ++j;
-              break;
-            }
-          }
-        }
-        const bool non_owning =
-            j < toks.size() && toks[j].kind == TokKind::kPunct &&
-            (toks[j].text == "*" || toks[j].text == "&" ||
-             toks[j].text == "::");
-        if (!non_owning) {
-          out.push_back({t.line, streams.count(t.text) > 0
-                                     ? "std::" + t.text +
-                                           " construction (stream buffers "
-                                           "allocate; emit binary records)"
-                                     : "std::" + t.text + " construction"});
-        }
-        continue;
-      }
-    }
-    return out;
-  }
-
-  // Call sites (identifier followed by `(`) inside a body. With
-  // `non_member_only`, calls through `.` or `->` are skipped -- used by
-  // the deep call-graph walk, where `x.at(...)`-style member names are
-  // too ambiguous to resolve by name alone.
-  std::vector<std::string> call_names(const LexedFile& f, std::size_t begin,
-                                      std::size_t end,
-                                      bool non_member_only) const {
-    std::vector<std::string> out;
-    std::set<std::string> seen;
-    const auto& toks = f.toks;
-    for (std::size_t k = begin; k < end && k < toks.size(); ++k) {
-      const Tok& t = toks[k];
-      if (t.kind != TokKind::kIdent || is_keyword(t.text)) continue;
-      if (k + 1 >= toks.size() || toks[k + 1].kind != TokKind::kPunct ||
-          toks[k + 1].text != "(")
-        continue;
-      if (non_member_only && k > 0 && toks[k - 1].kind == TokKind::kPunct &&
-          (toks[k - 1].text == "." || toks[k - 1].text == "->"))
-        continue;
-      if (seen.insert(t.text).second) out.push_back(t.text);
-    }
-    return out;
-  }
-
-  // Breadth-first walk of the same-project call graph from every
-  // QOESIM_HOT root. Depth 0 (the hot body) and depth 1 report as
-  // hot-alloc, exactly as v1 did (conservative union on name
-  // collisions, member calls included); depths 2..kMaxAllocDepth report
-  // as hot-call-graph with the discovery path. Beyond the first level
-  // the walk only follows non-member call sites that resolve to exactly
-  // one project function: `x.at(...)` / `add(...)`-style common names
-  // resolve to the wrong class's method often enough that deeper
-  // union-chasing reports phantom chains. Findings dedupe on
-  // (file, line, check) across roots.
-  static constexpr int kMaxAllocDepth = 4;
-
-  void hot_alloc_pass() {
-    std::set<std::tuple<const LexedFile*, int, std::string>> dedup;
-    // A hot-call-graph site suppressed under allow(hot-alloc) stays
-    // suppressed: the inline justification covers the allocation itself,
-    // however deep the evidence chain that reached it.
-    auto emit = [&](const FunctionDef& target, const DirectAlloc& a,
-                    const std::string& check, const std::string& msg) {
-      if (suppressed(target.file->directives, a.line, check)) return;
-      if (check == "hot-call-graph" &&
-          suppressed(target.file->directives, a.line, "hot-alloc"))
-        return;
-      if (!dedup.insert({target.file, a.line, check}).second) return;
-      findings_.push_back({target.file->path, a.line, check, target.name, msg});
-    };
-    for (std::size_t root = 0; root < functions_.size(); ++root) {
-      const FunctionDef& hot = functions_[root];
-      if (!hot.hot) continue;
-      for (const DirectAlloc& a :
-           direct_allocs(*hot.file, hot.body_begin, hot.body_end)) {
-        emit(hot, a, "hot-alloc",
-             "allocation in QOESIM_HOT " + hot.qualified + ": " + a.what);
-      }
-      struct QueueEntry {
-        std::size_t idx;
-        int depth;
-        std::string path;
-      };
-      std::vector<QueueEntry> queue;
-      std::set<std::size_t> visited{root};
-      auto expand = [&](const FunctionDef& fn, int depth,
-                        const std::string& path) {
-        const bool strict = depth >= 1;
-        for (const std::string& callee :
-             call_names(*fn.file, fn.body_begin, fn.body_end, strict)) {
-          auto it = index_.find(callee);
-          if (it == index_.end()) continue;
-          if (strict && it->second.size() > 1) continue;  // ambiguous name
-          for (std::size_t idx : it->second) {
-            if (!visited.insert(idx).second) continue;
-            queue.push_back(
-                {idx, depth + 1, path + " -> " + functions_[idx].qualified});
-          }
-        }
-      };
-      expand(hot, 0, hot.qualified);
-      for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-        const QueueEntry entry = queue[qi];
-        const FunctionDef& target = functions_[entry.idx];
-        for (const DirectAlloc& a :
-             direct_allocs(*target.file, target.body_begin,
-                           target.body_end)) {
-          if (entry.depth == 1) {
-            emit(target, a, "hot-alloc",
-                 "allocation in " + target.qualified + " (" + a.what +
-                     "), called from QOESIM_HOT " + hot.qualified);
-          } else {
-            emit(target, a, "hot-call-graph",
-                 "allocation in " + target.qualified + " (" + a.what +
-                     "), reachable from QOESIM_HOT " + hot.qualified +
-                     " via " + entry.path);
-          }
-        }
-        if (entry.depth < kMaxAllocDepth) {
-          expand(target, entry.depth, entry.path);
-        }
-      }
-    }
-  }
-
   std::vector<LexedFile> files_;
-  std::vector<FunctionDef> functions_;
-  std::unordered_map<std::string, std::vector<std::size_t>> index_;
   std::vector<Finding> findings_;
 };
 
@@ -1375,18 +1004,23 @@ struct AllowEntry {
 
 const std::set<std::string>& known_checks() {
   static const std::set<std::string> checks = {
-      "global-state",  "determinism",         "hot-alloc",
-      "hot-call-graph", "unordered-iteration", "pointer-order",
-      "shard-state",   "mailbox",             "cold-state",
-      "*"};
+      "global-state",  "determinism", "unordered-iteration", "pointer-order",
+      "shard-state",   "mailbox",     "*"};
   return checks;
+}
+
+// Unknown check names are hard errors wherever they appear -- in the
+// allowlist or in an inline allow() -- so a typo or a suppression of a
+// deleted check cannot silently linger.
+bool check_known(const std::string& path, int line, const std::string& check) {
+  if (known_checks().count(check) > 0) return true;
+  std::fprintf(stderr, "qoesim_lint: %s:%d: unknown check '%s'\n",
+               path.c_str(), line, check.c_str());
+  return false;
 }
 
 // Strict loader: a malformed line or unknown check name is a hard error
 // (reported with its line number, *ok cleared) instead of being skipped.
-// A silently-dropped entry used to mean a suppression quietly stopped
-// suppressing -- the lint then failed on a finding someone had already
-// justified, or worse, a typoed new entry never took effect.
 std::vector<AllowEntry> load_allowlist(const std::string& path, bool* ok) {
   std::vector<AllowEntry> out;
   std::ifstream in(path);
@@ -1410,15 +1044,21 @@ std::vector<AllowEntry> load_allowlist(const std::string& path, bool* ok) {
       *ok = false;
       continue;
     }
-    if (known_checks().count(e.check) == 0) {
-      std::fprintf(stderr, "qoesim_lint: %s:%d: unknown check '%s'\n",
-                   path.c_str(), lineno, e.check.c_str());
+    if (!check_known(path, lineno, e.check)) {
       *ok = false;
       continue;
     }
     out.push_back(e);
   }
   return out;
+}
+
+bool suppressions_valid(const LexedFile& f) {
+  bool ok = true;
+  for (const auto& [line, checks] : f.directives.suppress)
+    for (const std::string& check : checks)
+      ok = check_known(f.path, line, check) && ok;
+  return ok;
 }
 
 bool allowlisted(const std::vector<AllowEntry>& allow, const Finding& f) {
@@ -1477,6 +1117,7 @@ int run_fixtures(const std::string& dir) {
   for (const fs::path& p : fixtures) {
     Analyzer az;
     az.add_file(lex(p.string(), read_file(p.string())));
+    if (!suppressions_valid(az.files().front())) ++failures;
     az.run();
     std::set<std::pair<int, std::string>> got;
     for (const Finding& f : az.findings()) got.emplace(f.line, f.check);
@@ -1526,8 +1167,8 @@ int main(int argc, char** argv) {
           "[--allowlist <f>]\n"
           "       qoesim_lint --fixtures <dir>\n"
           "       qoesim_lint <files...>\n"
-          "checks: global-state hot-alloc hot-call-graph determinism\n"
-          "        unordered-iteration pointer-order shard-state mailbox\n");
+          "checks: global-state determinism unordered-iteration\n"
+          "        pointer-order shard-state mailbox\n");
       return 0;
     } else {
       explicit_files.push_back(arg);
@@ -1570,11 +1211,15 @@ int main(int argc, char** argv) {
   }
 
   Analyzer az;
+  bool suppressions_ok = true;
   for (const std::string& f : files) {
     const std::string src = read_file(f);
     if (src.empty()) continue;
-    az.add_file(lex(f, src));
+    LexedFile lexed = lex(f, src);
+    if (!suppressions_valid(lexed)) suppressions_ok = false;
+    az.add_file(std::move(lexed));
   }
+  if (!suppressions_ok) return 2;  // each bad allow() is reported above
   az.run();
 
   bool allowlist_ok = true;
