@@ -7,9 +7,9 @@ namespace qoesim::net {
 CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
     : QueueDiscipline(capacity_packets), params_(params) {}
 
-[[gnu::hot]] bool CoDelQueue::do_enqueue(Packet&& p, Time /*now*/) {
+[[gnu::hot]] bool CoDelQueue::do_enqueue(Packet&& p, Time now) {
   if (q_.size() >= capacity_) {
-    count_drop(p);
+    count_drop(p, now);
     return false;
   }
   bytes_ += p.size_bytes;
@@ -65,12 +65,12 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
         // would drop and deliver it; the dropping state and its schedule
         // advance exactly as if it had been dropped.
         if (can_mark(*p)) {
-          apply_mark(*p);
+          apply_mark(*p, now);
           ++drop_count_;
           drop_next_ = control_law(drop_next_);
           return p;
         }
-        count_drop(*p);
+        count_drop(*p, now);
         ++drop_count_;
         p = pop_head(now, ok);
         if (!p) {
@@ -90,9 +90,9 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
     // marked packet itself when marking).
     const bool mark = can_mark(*p);
     if (mark) {
-      apply_mark(*p);
+      apply_mark(*p, now);
     } else {
-      count_drop(*p);
+      count_drop(*p, now);
     }
     dropping_ = true;
     // RFC 8289 §4.3 hysteresis: on a quick re-entry (less than 16

@@ -18,9 +18,9 @@ class DropTailQueue final : public QueueDiscipline {
   std::string name() const override { return "DropTail"; }
 
  protected:
-  [[gnu::hot]] bool do_enqueue(Packet&& p, Time /*now*/) override {
+  [[gnu::hot]] bool do_enqueue(Packet&& p, Time now) override {
     if (q_.size() >= capacity_) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;

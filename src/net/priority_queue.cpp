@@ -23,11 +23,11 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   low_capacity_ = capacity_packets - high_capacity_;
 }
 
-[[gnu::hot]] bool PriorityQueue::do_enqueue(Packet&& p, Time /*now*/) {
+[[gnu::hot]] bool PriorityQueue::do_enqueue(Packet&& p, Time now) {
   if (is_high_priority(p)) {
     if (high_.size() >= high_capacity_) {
       ++high_drops_;
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;
@@ -36,7 +36,7 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   }
   if (low_.size() >= low_capacity_) {
     ++low_drops_;
-    count_drop(p);
+    count_drop(p, now);
     return false;
   }
   bytes_ += p.size_bytes;

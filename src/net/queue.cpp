@@ -28,6 +28,15 @@ namespace qoesim::net {
   return p;
 }
 
+void QueueDiscipline::set_tracer(BinaryTracer* tracer, std::uint16_t point) {
+  if (tracer_ != nullptr && tracer_ != tracer) {
+    throw std::logic_error("queue " + name() +
+                           ": already traced by another BinaryTracer");
+  }
+  tracer_ = tracer;
+  trace_point_ = point;
+}
+
 std::unique_ptr<QueueDiscipline> make_queue(QueueKind kind,
                                             std::size_t capacity_packets,
                                             std::uint64_t seed) {

@@ -3,8 +3,10 @@
 // A QueueDiscipline sits in front of a link transmitter; it decides, per
 // packet, whether to admit, drop, or (for AQM schemes) mark-by-drop. All
 // disciplines share a stats block so the experiment harness can read loss
-// rates uniformly. The paper's testbeds use drop-tail buffers sized in
-// packets; RED and CoDel are provided for the AQM ablation benchmark.
+// rates uniformly. Every drop and CE mark also passes one optional tap, a
+// BinaryTracer, so a traced link records them per packet. The paper's
+// testbeds use drop-tail buffers sized in packets; RED and CoDel are
+// provided for the AQM ablation benchmark.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/time.hpp"
 
 namespace qoesim::net {
@@ -74,14 +77,22 @@ class QueueDiscipline {
   const QueueStats& stats() const { return stats_; }
   virtual std::string name() const = 0;
 
+  /// Record every drop and CE mark to `tracer` at `point` (set by
+  /// BinaryTracer::observe_link). A queue holds one tracer: a different
+  /// one throws std::logic_error instead of taking over the tap.
+  void set_tracer(BinaryTracer* tracer, std::uint16_t point);
+
  protected:
   /// Admission decision + storage; return true if stored.
   virtual bool do_enqueue(Packet&& p, Time now) = 0;
   virtual std::optional<Packet> do_dequeue(Time now) = 0;
 
-  void count_drop(const Packet& p) {
+  void count_drop(const Packet& p, Time now) {
     ++stats_.dropped;
     stats_.bytes_dropped += p.size_bytes;
+    if (tracer_ != nullptr) {
+      tracer_->record(p, now, TraceEvent::kDrop, trace_point_);
+    }
   }
 
   /// True when this packet may be CE-marked instead of dropped.
@@ -90,14 +101,21 @@ class QueueDiscipline {
   }
 
   /// Apply a CE mark in place of a drop (caller keeps/delivers the packet).
-  void apply_mark(Packet& p) {
+  void apply_mark(Packet& p, Time now) {
     p.ecn = Ecn::kCe;
     ++stats_.marked;
+    if (tracer_ != nullptr) {
+      tracer_->record(p, now, TraceEvent::kMark, trace_point_);
+    }
   }
 
   std::size_t capacity_;
   QueueStats stats_;
   bool ecn_marking_ = false;
+
+ private:
+  BinaryTracer* tracer_ = nullptr;
+  std::uint16_t trace_point_ = 0;
 };
 
 /// Which discipline to instantiate (scenario configuration).

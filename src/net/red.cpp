@@ -72,9 +72,9 @@ void RedQueue::set_drain_rate(double bps) {
     // and admits them; the congestion signal reaches the sender without
     // losing the packet. A full buffer still has to drop.
     if (!hard && can_mark(p)) {
-      apply_mark(p);
+      apply_mark(p, now);
     } else {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
   }

@@ -3,6 +3,8 @@
 #include <istream>
 #include <ostream>
 
+#include "net/link.hpp"
+
 namespace qoesim::net {
 
 namespace {
@@ -35,6 +37,17 @@ std::uint64_t load64(const std::uint8_t* in) {
 }
 
 }  // namespace
+
+const char* to_string(TraceEvent e) {
+  switch (e) {
+    case TraceEvent::kEnqueue: return "enqueue";
+    case TraceEvent::kDrop: return "drop";
+    case TraceEvent::kTransmit: return "tx";
+    case TraceEvent::kMark: return "mark";
+    case TraceEvent::kDeliver: return "deliver";
+  }
+  return "?";
+}
 
 std::uint64_t trace_mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -107,6 +120,7 @@ BinaryTracer::BinaryTracer(Config cfg) : cfg_(cfg) {
 }
 
 void BinaryTracer::observe_link(Link& link, std::uint16_t point) {
+  link.queue().set_tracer(this, point);  // throws before touching the link
   link.add_tx_observer([this, point](const Packet& p, Time now) {
     record(p, now, TraceEvent::kTransmit, point);
   });
@@ -160,7 +174,15 @@ bool read_trace(std::istream& in, std::vector<BinRecord>* out,
     return false;
   }
   std::uint8_t rec[kTraceRecordBytes];
-  while (in.read(reinterpret_cast<char*>(rec), sizeof(rec))) {
+  for (std::size_t index = 0;
+       in.read(reinterpret_cast<char*>(rec), sizeof(rec)); ++index) {
+    if (rec[62] > static_cast<std::uint8_t>(TraceEvent::kDeliver)) {
+      if (error) {
+        *error = "trace: record " + std::to_string(index) +
+                 ": unknown event byte " + std::to_string(rec[62]);
+      }
+      return false;
+    }
     out->push_back(decode_record(rec));
   }
   if (in.gcount() != 0) {

@@ -2,7 +2,11 @@
 //
 // A BinaryTracer streams fixed-width 64-byte little-endian records into a
 // preallocated buffer: time, tap point, TraceEvent, flow 4-tuple,
-// seq/ack/len/flags/ECN. The write path is allocation-free in steady state
+// seq/ack/len/flags/ECN -- the packet-level view the paper takes from its
+// tcpdump captures (§9.1). One observe_link() call records every drop and
+// CE mark of the link's queue discipline (through the queue's tap, so
+// AQM head drops appear too) and every transmit and deliver on the link.
+// The write path is allocation-free in steady state
 // (tests/test_alloc_gate.cpp measures it), so figure benches can trace the
 // bottleneck at full event rate; deterministic 1-in-N packet sampling (by
 // uid hash, so all events of one packet sample together) keeps long sweeps
@@ -42,11 +46,23 @@
 #include <string>
 #include <vector>
 
-#include "net/link.hpp"
 #include "net/packet.hpp"
-#include "net/tracer.hpp"
 
 namespace qoesim::net {
+
+class Link;
+
+/// Record kinds; the numeric values are the on-disk event byte.
+enum class TraceEvent : std::uint8_t {
+  kEnqueue,   ///< reserved: never emitted (a transmitted packet was admitted)
+  kDrop,      ///< the queue discipline dropped the packet (tail or AQM)
+  kTransmit,  ///< serialization complete, packet on the wire
+  kMark,      ///< AQM applied an ECN CE mark
+  kDeliver,   ///< propagation complete, packet handed to the link sink
+};
+
+/// The event's name in text dumps ("drop", "tx", "mark", ...).
+const char* to_string(TraceEvent e);
 
 inline constexpr std::uint32_t kTraceMagic = 0x43525451u;  // "QTRC" LE
 inline constexpr std::uint8_t kTraceVersion = 1;
@@ -104,7 +120,11 @@ class BinaryTracer {
   BinaryTracer();  // default Config
   explicit BinaryTracer(Config cfg);
 
-  /// Record transmit and deliver events on `link`, tagged with `point`.
+  /// Record drop, mark, transmit and deliver events on `link`, tagged
+  /// with `point`. Drops and marks come from the link's queue discipline,
+  /// which holds one tracer: a queue already traced by a different tracer
+  /// throws std::logic_error and leaves the link untouched. The tracer
+  /// must stay alive while the link carries traffic.
   void observe_link(Link& link, std::uint16_t point);
 
   /// Append one record (allocation-free; drops + counts when full).
@@ -132,7 +152,8 @@ class BinaryTracer {
 };
 
 /// Parse a trace stream (header + records). Returns false and sets
-/// `error` on malformed input; a truncated trailing record is an error.
+/// `error` on malformed input; a truncated trailing record or an event
+/// byte past kDeliver is an error.
 bool read_trace(std::istream& in, std::vector<BinRecord>* out,
                 std::string* error);
 

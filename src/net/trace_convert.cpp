@@ -136,11 +136,9 @@ std::size_t write_pcap(const std::vector<BinRecord>& records,
 
 void write_trace_text(const std::vector<BinRecord>& records,
                       std::ostream& out) {
-  const char* event_names[] = {"enqueue", "drop", "tx", "mark", "deliver"};
   const char* ecn_names[] = {"notect", "ect1", "ect0", "ce"};
   char line[256];
   for (const auto& r : records) {
-    const auto ev = static_cast<std::size_t>(r.event);
     char flags[6] = "-----";
     if (r.syn) flags[0] = 'S';
     if (r.has_ack) flags[1] = 'A';
@@ -154,7 +152,7 @@ void write_trace_text(const std::vector<BinRecord>& records,
         " n%u:%u>n%u:%u seq=%" PRIu64 " ack=%" PRIu64
         " len=%u wire=%u flags=%s ecn=%s",
         r.t_ns / 1000000000, r.t_ns % 1000000000, r.point,
-        ev < 5 ? event_names[ev] : "?",
+        to_string(r.event),
         r.proto == Protocol::kTcp ? "tcp" : "udp", r.uid, r.flow, r.src,
         r.src_port, r.dst, r.dst_port, r.seq, r.ack, r.payload, r.wire_bytes,
         flags, static_cast<std::size_t>(r.ecn) < 4

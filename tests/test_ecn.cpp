@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "net/codel.hpp"
+#include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/red.hpp"
 #include "net/topology.hpp"
-#include "net/tracer.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
@@ -144,23 +145,36 @@ TEST(EcnCoDel, NotEctTrafficStillDropsWithMarkingEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: marks surface as kMark records through a TracingQueue.
+// Tracer: a traced CoDel+ECN link records every CE mark per packet.
 
-TEST(EcnTracer, TracingQueueRecordsMarksAndForwardsSwitch) {
-  net::PacketTracer tracer;
-  auto inner = std::make_unique<CoDelQueue>(1000);
-  net::TracingQueue q(std::move(inner), tracer, "bottleneck");
-  q.set_ecn_marking(true);  // must reach the wrapped CoDel
-  Time t = Time::zero();
-  for (int i = 0; i < 2000; ++i) {
-    q.enqueue(make_packet(Ecn::kEct0), t);
-    t = t + Time::milliseconds(1);
-    if (i >= 150) (void)q.dequeue(t);
+TEST(EcnTracer, TracedCoDelLinkRecordsEveryMark) {
+  Simulation sim;
+  auto codel = std::make_unique<CoDelQueue>(1000);
+  codel->set_ecn_marking(true);
+  net::Link link(sim, "bottleneck", 1e6, Time::zero(), std::move(codel));
+  link.set_sink([](Packet&&) {});
+  net::BinaryTracer tracer;
+  tracer.observe_link(link, 0);
+  // 2x overload of ECT packets: CoDel's control law marks instead of
+  // dropping.
+  for (int i = 0; i < 1000; ++i) {
+    sim.scheduler().post_at(Time::milliseconds(5 * i), [&link] {
+      link.send(make_packet(Ecn::kEct0, 1250));
+    });
   }
-  const auto marks = tracer.count(
-      [](const net::TraceRecord& r) { return r.event == net::TraceEvent::kMark; });
+  sim.run();
+  std::uint64_t marks = 0;
+  for (std::size_t i = 0; i < tracer.records(); ++i) {
+    const net::BinRecord r =
+        net::decode_record(tracer.data() + i * net::kTraceRecordBytes);
+    if (r.event == net::TraceEvent::kMark) {
+      ++marks;
+      EXPECT_EQ(r.ecn, Ecn::kCe);  // recorded after the mark is applied
+    }
+  }
   EXPECT_GT(marks, 0u);
-  EXPECT_EQ(marks, q.stats().marked);
+  EXPECT_EQ(marks, link.queue().stats().marked);
+  EXPECT_EQ(link.queue().stats().dropped, 0u);
   EXPECT_STREQ(net::to_string(net::TraceEvent::kMark), "mark");
 }
 

@@ -11,6 +11,7 @@
 
 #include "alloc_counter.hpp"
 #include "net/drop_tail.hpp"
+#include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
 
 namespace qoesim::net {
@@ -209,6 +210,11 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
       ++delivered;
       depth_sum += link.queue().packet_count();
     });
+    // The tracer's drop tap is part of the measured path.
+    BinaryTracer::Config trace_cfg;
+    trace_cfg.capacity_records = 1 << 15;
+    BinaryTracer tracer(trace_cfg);
+    tracer.observe_link(link, 0);
     sim.scheduler().post_at(Time::zero(),
                             OverloadSource{&sim, &link, Time::microseconds(600)});
     sim.run_until(Time::seconds(1));  // warm-up
@@ -216,6 +222,7 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
     const std::uint64_t delivered_before = delivered;
     const std::uint64_t depth_before = depth_sum;
     const std::uint64_t dropped_before = link.queue().stats().dropped;
+    const std::size_t records_before = tracer.records();
     const std::uint64_t allocs_before = testutil::allocations();
     sim.run_until(Time::seconds(3));
     const std::uint64_t allocs = testutil::allocations() - allocs_before;
@@ -225,8 +232,16 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
     EXPECT_GT(window, 2000u);  // the link really was busy...
     // ...behind a standing queue (mean depth seen by departures)...
     EXPECT_GE((depth_sum - depth_before) / window, 2u);
-    // ...that overflowed or was policed by the AQM.
+    // ...that overflowed or was policed by the AQM...
     EXPECT_GT(link.queue().stats().dropped, dropped_before);
+    // ...and each drop in the window left a trace record.
+    std::uint64_t drop_records = 0;
+    for (std::size_t i = records_before; i < tracer.records(); ++i) {
+      const BinRecord r = decode_record(tracer.data() + i * kTraceRecordBytes);
+      if (r.event == TraceEvent::kDrop) ++drop_records;
+    }
+    EXPECT_EQ(drop_records, link.queue().stats().dropped - dropped_before);
+    EXPECT_EQ(tracer.overflow(), 0u);
   }
 }
 

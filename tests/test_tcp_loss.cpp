@@ -26,14 +26,14 @@ class LossyQueue final : public net::QueueDiscipline {
   std::string name() const override { return "Lossy"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time /*now*/) override {
+  bool do_enqueue(net::Packet&& p, Time now) override {
     ++arrivals_;
     const bool listed =
         std::find(drop_indices_.begin(), drop_indices_.end(), arrivals_) !=
         drop_indices_.end();
     if (listed || (drop_prob_ > 0 && rng_.bernoulli(drop_prob_)) ||
         q_.size() >= capacity_) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;

@@ -22,10 +22,10 @@ class RangeDropQueue final : public net::QueueDiscipline {
   std::string name() const override { return "RangeDrop"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
+  bool do_enqueue(net::Packet&& p, Time now) override {
     ++arrivals_;
     if ((arrivals_ >= first_ && arrivals_ <= last_) || q_.size() >= capacity_) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;
@@ -137,18 +137,18 @@ TEST(TcpSack, LostRetransmissionEventuallyRepaired) {
     std::string name() const override { return "DoubleDrop"; }
 
    protected:
-    bool do_enqueue(net::Packet&& p, Time) override {
+    bool do_enqueue(net::Packet&& p, Time now) override {
       // Identify the victim by TCP sequence: segment with seq for byte
       // 9*1460+1 (the 10th data segment). Drop its first two appearances.
       if (p.proto == net::Protocol::kTcp &&
           p.tcp.seq == 9ull * 1460ull + 1ull && p.tcp.payload > 0 &&
           drops_ < 2) {
         ++drops_;
-        count_drop(p);
+        count_drop(p, now);
         return false;
       }
       if (q_.size() >= capacity_) {
-        count_drop(p);
+        count_drop(p, now);
         return false;
       }
       bytes_ += p.size_bytes;

@@ -233,9 +233,9 @@ class BlackholeAfterQueue final : public net::QueueDiscipline {
   std::string name() const override { return "BlackholeAfter"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
+  bool do_enqueue(net::Packet&& p, Time now) override {
     if (++arrivals_ > pass_ || q_.size() >= capacity_) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;
@@ -268,14 +268,14 @@ class SeqOnceDropQueue final : public net::QueueDiscipline {
   std::string name() const override { return "SeqOnceDrop"; }
 
  protected:
-  bool do_enqueue(net::Packet&& p, Time) override {
+  bool do_enqueue(net::Packet&& p, Time now) override {
     if (p.proto == net::Protocol::kTcp && p.tcp.payload > 0 &&
         seqs_.erase(p.tcp.seq) > 0) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     if (q_.size() >= capacity_) {
-      count_drop(p);
+      count_drop(p, now);
       return false;
     }
     bytes_ += p.size_bytes;

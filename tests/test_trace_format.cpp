@@ -166,6 +166,20 @@ TEST(TraceFormat, ReadRejectsMalformedStreams) {
   truncated.write("0123456789", 10);  // partial record
   EXPECT_FALSE(net::read_trace(truncated, &records, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos);
+
+  // An event byte past kDeliver names no TraceEvent.
+  std::uint8_t rec[net::kTraceRecordBytes];
+  net::encode_record(make_tcp_packet(), Time::zero(),
+                     net::TraceEvent::kTransmit, 0, rec);
+  std::stringstream bad_event;
+  net::BinaryTracer::write_header(bad_event);
+  bad_event.write(reinterpret_cast<const char*>(rec), sizeof(rec));
+  rec[62] = 5;
+  bad_event.write(reinterpret_cast<const char*>(rec), sizeof(rec));
+  records.clear();
+  EXPECT_FALSE(net::read_trace(bad_event, &records, &error));
+  EXPECT_NE(error.find("record 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("event byte 5"), std::string::npos) << error;
 }
 
 TEST(TraceFormat, PcapGoldenBytes) {

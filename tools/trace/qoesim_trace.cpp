@@ -53,20 +53,21 @@ int main(int argc, char** argv) {
   if (!load(argv[2], &records)) return 1;
 
   if (cmd == "info") {
+    constexpr auto kEvents = static_cast<std::size_t>(TraceEvent::kDeliver) + 1;
     std::set<std::uint64_t> uids;
     std::set<std::uint16_t> points;
-    std::size_t by_event[5] = {};
+    std::size_t by_event[kEvents] = {};
     for (const auto& r : records) {
       uids.insert(r.uid);
       points.insert(r.point);
-      const auto e = static_cast<std::size_t>(r.event);
-      if (e < 5) ++by_event[e];
+      ++by_event[static_cast<std::size_t>(r.event)];  // read_trace validated
     }
     std::cout << "records " << records.size() << "\npackets " << uids.size()
-              << "\npoints " << points.size() << "\nenqueue " << by_event[0]
-              << "\ndrop " << by_event[1] << "\ntransmit " << by_event[2]
-              << "\nmark " << by_event[3] << "\ndeliver " << by_event[4]
-              << "\n";
+              << "\npoints " << points.size() << "\n";
+    for (std::size_t e = 0; e < kEvents; ++e) {
+      std::cout << to_string(static_cast<TraceEvent>(e)) << ' ' << by_event[e]
+                << "\n";
+    }
     if (!records.empty()) {
       std::cout << "first_ns " << records.front().t_ns << "\nlast_ns "
                 << records.back().t_ns << "\n";
