@@ -16,9 +16,11 @@
 //                    one pushed out every other fire (RTO re-arm on ACK),
 //                    behind 48 self-re-posting fire-and-forget events
 //                    (link tx-completes/deliveries). Run twice: packet
-//                    events on the packet lane (post_at), then on the
-//                    timer lane (schedule_at, handle dropped), which is
-//                    the single-heap cost the lane split removes.
+//                    events on the packet lane (post_at, an 8-byte
+//                    closure stored inline, no slot), then on the timer
+//                    lane (schedule_at, handle dropped), which is the
+//                    single-heap, slot-per-event cost the packet lane
+//                    removes.
 //
 // Accepts the shared bench flags plus --quick (CI smoke: ~10x fewer ops).
 #include <chrono>
@@ -133,7 +135,8 @@ double rearm_one(long moves) {
 }
 
 // Shared state of the timers+packets pattern; PacketTick captures only a
-// pointer to it, like a link's {this, slot} completion event.
+// pointer to it, like a link's {this, slot} completion event, so it meets
+// post_at's trivially-copyable, 16-byte closure bound.
 struct LaneMix {
   static constexpr int kTimers = 1536;
   static constexpr int kPackets = 48;

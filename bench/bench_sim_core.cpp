@@ -60,7 +60,9 @@ void BM_DropTailEnqueueDequeue(benchmark::State& state) {
     net::Packet p;
     p.size_bytes = 1500;
     q.enqueue(std::move(p), Time::zero());
-    benchmark::DoNotOptimize(q.dequeue(Time::zero()));
+    net::Packet out;
+    benchmark::DoNotOptimize(q.dequeue(Time::zero(), out));
+    benchmark::DoNotOptimize(out);
     ++ops;
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));

@@ -24,16 +24,16 @@ Time CoDelQueue::control_law(Time t) const {
   return t + params_.interval / std::sqrt(count);
 }
 
-std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
+bool CoDelQueue::pop_head(Time now, bool& ok_sojourn, Packet& out) {
   if (q_.empty()) {
     first_above_time_ = Time::zero();
     ok_sojourn = true;
-    return std::nullopt;
+    return false;
   }
-  Packet p = q_.pop();
-  bytes_ -= p.size_bytes;
+  q_.pop(out);
+  bytes_ -= out.size_bytes;
 
-  const Time sojourn = now - p.enqueued_at;
+  const Time sojourn = now - out.enqueued_at;
   if (sojourn < params_.target || bytes_ <= kMtuBytes) {
     first_above_time_ = Time::zero();
     ok_sojourn = true;
@@ -45,15 +45,14 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
       ok_sojourn = now < first_above_time_;
     }
   }
-  return p;
+  return true;
 }
 
-[[gnu::hot]] std::optional<Packet> CoDelQueue::do_dequeue(Time now) {
+[[gnu::hot]] bool CoDelQueue::do_dequeue(Time now, Packet& out) {
   bool ok = true;
-  auto p = pop_head(now, ok);
-  if (!p) {
+  if (!pop_head(now, ok, out)) {
     dropping_ = false;
-    return std::nullopt;
+    return false;
   }
 
   if (dropping_) {
@@ -64,18 +63,17 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
         // RFC 8289 §4.2: with ECN, CE-mark the packet the control law
         // would drop and deliver it; the dropping state and its schedule
         // advance exactly as if it had been dropped.
-        if (can_mark(*p)) {
-          apply_mark(*p, now);
+        if (can_mark(out)) {
+          apply_mark(out, now);
           ++drop_count_;
           drop_next_ = control_law(drop_next_);
-          return p;
+          return true;
         }
-        count_drop(*p, now);
+        count_drop(out, now);
         ++drop_count_;
-        p = pop_head(now, ok);
-        if (!p) {
+        if (!pop_head(now, ok, out)) {
           dropping_ = false;
-          return std::nullopt;
+          return false;
         }
         if (ok) {
           dropping_ = false;
@@ -88,11 +86,11 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
     // Sojourn has been above target for a full interval: enter dropping
     // state, drop (or CE-mark) this packet, and deliver the next (the
     // marked packet itself when marking).
-    const bool mark = can_mark(*p);
+    const bool mark = can_mark(out);
     if (mark) {
-      apply_mark(*p, now);
+      apply_mark(out, now);
     } else {
-      count_drop(*p, now);
+      count_drop(out, now);
     }
     dropping_ = true;
     // RFC 8289 §4.3 hysteresis: on a quick re-entry (less than 16
@@ -108,15 +106,14 @@ std::optional<Packet> CoDelQueue::pop_head(Time now, bool& ok_sojourn) {
     }
     drop_next_ = control_law(now);
     last_drop_count_ = drop_count_;
-    if (mark) return p;  // the marked head is delivered, not replaced
+    if (mark) return true;  // the marked head is delivered, not replaced
     bool ok2 = true;
-    p = pop_head(now, ok2);
-    if (!p) {
+    if (!pop_head(now, ok2, out)) {
       dropping_ = false;
-      return std::nullopt;
+      return false;
     }
   }
-  return p;
+  return true;
 }
 
 }  // namespace qoesim::net

@@ -32,11 +32,12 @@ class CoDelQueue final : public QueueDiscipline {
 
  protected:
   bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_dequeue(Time now, Packet& out) override;
 
  private:
-  /// Pop the head and check whether its sojourn is below target.
-  std::optional<Packet> pop_head(Time now, bool& ok_sojourn);
+  /// Pop the head into `out` (false if empty) and check whether its
+  /// sojourn is below target.
+  bool pop_head(Time now, bool& ok_sojourn, Packet& out);
   Time control_law(Time t) const;
 
   CoDelParams params_;

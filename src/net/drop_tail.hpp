@@ -28,11 +28,11 @@ class DropTailQueue final : public QueueDiscipline {
     return true;
   }
 
-  [[gnu::hot]] std::optional<Packet> do_dequeue(Time /*now*/) override {
-    if (q_.empty()) return std::nullopt;
-    Packet p = q_.pop();
-    bytes_ -= p.size_bytes;
-    return p;
+  [[gnu::hot]] bool do_dequeue(Time /*now*/, Packet& out) override {
+    if (q_.empty()) return false;
+    q_.pop(out);
+    bytes_ -= out.size_bytes;
+    return true;
   }
 
  private:

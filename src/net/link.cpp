@@ -2,6 +2,7 @@
 
 #include "net/mailbox.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -14,8 +15,19 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
       rate_bps_(rate_bps),
       prop_delay_(prop_delay),
       queue_(std::move(queue)) {
-  if (rate_bps_ <= 0.0) throw std::invalid_argument("Link: rate must be > 0");
-  if (!queue_) throw std::invalid_argument("Link: queue required");
+  // A NaN or infinite rate would reach serialization_time's integer cast;
+  // a negative delay would surface only at the first delivery.
+  if (!std::isfinite(rate_bps_) || rate_bps_ <= 0.0) {
+    throw std::invalid_argument("Link " + name_ +
+                                ": rate must be finite and > 0");
+  }
+  if (prop_delay_.is_negative()) {
+    throw std::invalid_argument("Link " + name_ +
+                                ": propagation delay must be >= 0");
+  }
+  if (!queue_) {
+    throw std::invalid_argument("Link " + name_ + ": queue required");
+  }
   queue_->set_drain_rate(rate_bps_);
 }
 
@@ -27,15 +39,17 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
 
 [[gnu::hot]] void Link::maybe_start_tx() {
   if (busy_) return;
-  auto next = queue_->dequeue(sim_.now());
-  if (!next) return;
+  // The queue dequeues straight into a pooled slot, the packet's home
+  // until it is delivered. An empty queue is still asked (see
+  // QueueDiscipline::dequeue); the staged slot then stays free.
+  Packet& next = pool_.stage();
+  if (!queue_->dequeue(sim_.now(), next)) return;
+  const PacketPool::SlotId slot = pool_.acquire();
   busy_ = true;
-  queue_delay_.add((sim_.now() - next->enqueued_at).sec());
-  const Time tx = serialization_time(next->size_bytes);
-  // The packet moves into a pooled slot; the completion event captures only
-  // {this, slot}, which stays inside SmallCallback's inline buffer. It is
-  // never moved or cancelled, so it rides the scheduler's packet lane.
-  const PacketPool::SlotId slot = pool_.acquire(std::move(*next));
+  queue_delay_.add((sim_.now() - next.enqueued_at).sec());
+  const Time tx = serialization_time(next.size_bytes);
+  // The completion event captures only {this, slot} and is never moved or
+  // cancelled, so it rides the scheduler's packet lane.
   sim_.scheduler().post_at(sim_.now() + tx, [this, slot] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     on_tx_complete(slot);
@@ -54,7 +68,8 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
     // drain admits it. The mailbox's FIFO counter preserves this link's
     // tx order; the delivery timestamp is fixed here so queueing and
     // serialization dynamics stay identical to the WireRing path.
-    mailbox_->push(sim_.now() + prop_delay_, pool_.release(slot));
+    mailbox_->push(sim_.now() + prop_delay_, std::move(pool_.at(slot)));
+    pool_.release(slot);
   } else if (sink_) {
     // Serialization completions are ordered and prop_delay_ is constant,
     // so deliver_at is non-decreasing along the ring and one delivery
@@ -67,18 +82,16 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
                 sim_.now() + prop_delay_});
     if (was_idle) arm_delivery(wire_.front());
   } else {
-    (void)pool_.release(slot);
+    pool_.release(slot);
   }
   maybe_start_tx();
 }
 
 [[gnu::hot]] void Link::arm_delivery(const WireRing::Entry& entry) {
-  // Always a fresh schedule: when called from inside drain_wire the old
-  // event has just fired, so this reuses the just-freed arena slot (the
-  // same pooled re-arm idiom as the periodic app timers) -- a fired event
-  // cannot be rescheduled. The entry's reserved seq fixes the FIFO
-  // position; the event is never moved or cancelled, so it is posted on
-  // the packet lane without a handle.
+  // Always a fresh post: when called from inside drain_wire the old event
+  // has just fired, and this reuses its packet-lane entry (the same pooled
+  // re-arm idiom as the periodic app timers) -- a fired event cannot be
+  // rescheduled. The entry's reserved seq fixes the FIFO position.
   sim_.scheduler().post_at_seq(entry.deliver_at, entry.seq, [this] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     drain_wire();
@@ -92,9 +105,13 @@ Link::Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
   // position among same-timestamp events.
   const PacketPool::SlotId slot = wire_.front().slot;
   wire_.pop();
-  Packet p = pool_.release(slot);
+  // Observers and the sink see the packet in its pool slot; the slot is
+  // freed only once the sink has returned (a sink that reenters send()
+  // takes another slot).
+  Packet& p = pool_.at(slot);
   for (const auto& observer : rx_observers_) observer(p, sim_.now());
   if (sink_) sink_(std::move(p));
+  pool_.release(slot);
   if (!wire_.empty()) arm_delivery(wire_.front());
 }
 

@@ -8,7 +8,10 @@
 //
 // In-flight packets (serializing or propagating) live in a per-link
 // PacketPool and are referenced by slot id from scheduler callbacks, so
-// steady-state forwarding performs no heap allocation. Packets on the wire
+// steady-state forwarding performs no heap allocation. The queue dequeues
+// a packet straight into its slot and delivery hands the slot to the sink
+// by reference, so a hop copies a packet twice: into the queue and into
+// the slot. Packets on the wire
 // wait in a WireRing drained by a single delivery event per link instead of
 // one propagation event per packet (see packet_pool.hpp).
 #pragma once

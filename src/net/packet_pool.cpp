@@ -1,34 +1,25 @@
 #include "net/packet_pool.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace qoesim::net {
 
-[[gnu::hot]] PacketPool::SlotId PacketPool::acquire(Packet&& p) {
-  ++stats_.acquired;
-  stats_.peak_in_flight =
-      std::max<std::uint64_t>(stats_.peak_in_flight, in_flight());
-  if (!free_.empty()) {
-    const SlotId slot = free_.back();
-    free_.pop_back();
-    slots_[slot] = std::move(p);
-    return slot;
+void PacketPool::add_slot() {
+  if (slot_count_ >> kMaxSlotBits) {
+    throw std::length_error("PacketPool: more than 2^24 packets in flight");
   }
-  ++stats_.slab_growths;
-  const SlotId slot = static_cast<SlotId>(slots_.size());
-  slots_.push_back(std::move(p));
-  // The free stack can hold at most one entry per slot; reserving alongside
-  // the slab keeps release() allocation-free.
-  free_.reserve(slots_.size());
-  return slot;
-}
-
-[[gnu::hot]] Packet PacketPool::release(SlotId slot) {
-  ++stats_.released;
-  // Capacity reserved in acquire(): never reallocates.
-  free_.push_back(slot);
-  return std::move(slots_[slot]);
+  const std::uint32_t v = slot_count_ + kFirstChunk;
+  if (std::has_single_bit(v)) {
+    // The first slot of a new chunk. The free stack can hold at most one
+    // entry per slot; reserving alongside the slab keeps release()
+    // allocation-free.
+    chunks_[static_cast<unsigned>(std::bit_width(v)) - 1 - kFirstChunkBits] =
+        std::make_unique<Packet[]>(v);
+    free_.reserve(2 * v - kFirstChunk);
+  }
+  free_.push_back(slot_count_++);
 }
 
 [[gnu::hot]] void WireRing::push(Entry e) {

@@ -4,13 +4,15 @@
 // serialized plus any riding the propagation delay). Slots are recycled
 // through a free list, mirroring the scheduler's event arena: steady-state
 // forwarding performs zero heap allocations per packet, because a slot and
-// the scheduler events referencing it (by 4-byte SlotId, well inside
-// SmallCallback's inline buffer) are reused as soon as the packet is
-// delivered. The slab only grows when more packets are simultaneously in
-// flight than ever before on this link, which is bounded by
-// 1 + ceil(prop_delay / serialization_time) -- growth events are counted
-// in Stats::slab_growths so tests can assert the steady state allocates
-// nothing.
+// the scheduler events referencing it (by 4-byte SlotId, well inside a
+// packet-lane closure) are reused as soon as the packet is delivered. A
+// link fills a slot in place -- the queue discipline dequeues straight
+// into stage() -- and delivers the packet from it, so a packet is copied
+// into the pool once and never out of it. The slab only grows when more
+// packets are simultaneously in flight than ever before on this link,
+// which is bounded by 1 + ceil(prop_delay / serialization_time) -- growth
+// events are counted in Stats::slab_growths so tests can assert the steady
+// state allocates nothing.
 //
 // WireRing is the companion FIFO of (slot, deliver_at) entries for packets
 // that finished serialization and are propagating. Because a link's
@@ -27,10 +29,11 @@
 // the FIFO advances.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -52,36 +55,72 @@ class QOESIM_SHARD_PLANE PacketPool {
   struct Stats {
     std::uint64_t acquired = 0;
     std::uint64_t released = 0;
-    /// Number of times a new slot had to be created (the only operation
-    /// that can touch the heap). Constant in steady state.
+    /// Number of slots ever put to use: each growth is the first acquire
+    /// of a slot whose storage had to be created (the only operation that
+    /// can touch the heap). Constant in steady state.
     std::uint64_t slab_growths = 0;
     std::uint64_t peak_in_flight = 0;
   };
 
-  /// Store `p` in a pooled slot; reuses a free slot when available.
-  SlotId acquire(Packet&& p) QOESIM_REQUIRES_SHARD;
+  /// The free slot the next acquire() takes, for the caller to fill in
+  /// place. Creates the slot's storage if none is free, but a slot counts
+  /// (acquired, slab_growths, peak_in_flight) only once acquired: a slot
+  /// staged for a dequeue that yields nothing simply stays free.
+  Packet& stage() QOESIM_REQUIRES_SHARD {
+    if (free_.empty()) add_slot();
+    return at(free_.back());
+  }
 
-  /// Move the packet out of `slot` and return the slot to the free list.
-  Packet release(SlotId slot) QOESIM_REQUIRES_SHARD;
+  /// Take the slot stage() returned, now holding a packet.
+  SlotId acquire() QOESIM_REQUIRES_SHARD {
+    const SlotId slot = free_.back();
+    free_.pop_back();
+    ++stats_.acquired;
+    // Slots are first acquired in id order, so the ids below slab_growths
+    // are exactly the slots used before.
+    if (slot == stats_.slab_growths) ++stats_.slab_growths;
+    stats_.peak_in_flight =
+        std::max<std::uint64_t>(stats_.peak_in_flight, in_flight());
+    return slot;
+  }
 
-  /// References returned here stay valid across acquire()/release(): the
-  /// slab is a deque, so growth never relocates existing slots. A Link
-  /// iterates its tx observers over such a reference while an observer
-  /// could reenter Link::send (and thus acquire()).
-  Packet& at(SlotId slot) QOESIM_REQUIRES_SHARD { return slots_[slot]; }
-  const Packet& at(SlotId slot) const QOESIM_REQUIRES_SHARD {
-    return slots_[slot];
+  /// Return `slot` to the free list; its packet is no longer referenced.
+  void release(SlotId slot) QOESIM_REQUIRES_SHARD {
+    ++stats_.released;
+    free_.push_back(slot);  // capacity reserved in add_slot(): no allocation
+  }
+
+  /// References returned here stay valid across stage()/acquire()/
+  /// release(): growth adds a chunk and never moves existing slots. A Link
+  /// hands such a reference to its observers and sink while they could
+  /// reenter Link::send (and thus stage()).
+  Packet& at(SlotId slot) QOESIM_REQUIRES_SHARD {
+    // Slot s lives at v = s + kFirstChunk: chunk k holds the v with bit
+    // width kFirstChunkBits + k + 1, so one bit scan finds the chunk and
+    // clearing v's top bit the offset.
+    const std::uint32_t v = slot + kFirstChunk;
+    const unsigned top = static_cast<unsigned>(std::bit_width(v)) - 1;
+    return chunks_[top - kFirstChunkBits][v ^ (1u << top)];
   }
 
   std::size_t in_flight() const {
     return static_cast<std::size_t>(stats_.acquired - stats_.released);
   }
-  std::size_t slot_count() const { return slots_.size(); }
   const Stats& stats() const { return stats_; }
 
  private:
-  std::deque<Packet> slots_;  // reference-stable slab (see at())
-  std::vector<SlotId> free_;  // stack of recycled slot ids
+  // Chunk k holds kFirstChunk << k slots. The first chunk is small, so a
+  // lightly used link (one packet in flight at a time) keeps two slots.
+  static constexpr unsigned kFirstChunkBits = 1;
+  static constexpr std::uint32_t kFirstChunk = 1u << kFirstChunkBits;
+  static constexpr unsigned kMaxSlotBits = 24;  // as the scheduler's arena
+  static constexpr unsigned kChunks = kMaxSlotBits - kFirstChunkBits + 1;
+
+  void add_slot() QOESIM_REQUIRES_SHARD;
+
+  std::array<std::unique_ptr<Packet[]>, kChunks> chunks_;
+  std::uint32_t slot_count_ = 0;  // slots with storage, ids [0, count)
+  std::vector<SlotId> free_;      // stack of free slot ids
   Stats stats_;
 };
 
@@ -142,9 +181,10 @@ class PacketRing {
     ++size_;
   }
 
-  /// Move the front packet out and remove it. Precondition: !empty().
-  Packet pop() {
-    Packet p = std::move((*front_)[head_++]);
+  /// Move the front packet into `out` and remove it. Precondition:
+  /// !empty().
+  void pop(Packet& out) {
+    out = std::move((*front_)[head_++]);
     if (--size_ == 0) {
       // Empty: the next push restarts at the top of this same block.
       blocks_live_ = 0;
@@ -156,7 +196,6 @@ class PacketRing {
       front_ = blocks_[first_].get();
       head_ = 0;
     }
-    return p;
   }
 
  private:

@@ -44,18 +44,18 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
   return true;
 }
 
-[[gnu::hot]] std::optional<Packet> PriorityQueue::do_dequeue(Time /*now*/) {
+[[gnu::hot]] bool PriorityQueue::do_dequeue(Time /*now*/, Packet& out) {
   PacketRing* source = nullptr;
   if (!high_.empty()) {
     source = &high_;
   } else if (!low_.empty()) {
     source = &low_;
   } else {
-    return std::nullopt;
+    return false;
   }
-  Packet p = source->pop();
-  bytes_ -= p.size_bytes;
-  return p;
+  source->pop(out);
+  bytes_ -= out.size_bytes;
+  return true;
 }
 
 }  // namespace qoesim::net

@@ -47,7 +47,7 @@ class PriorityQueue final : public QueueDiscipline {
 
  protected:
   bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_dequeue(Time now, Packet& out) override;
 
  private:
   std::size_t high_capacity_;

@@ -22,10 +22,10 @@ namespace qoesim::net {
   return accepted;
 }
 
-[[gnu::hot]] std::optional<Packet> QueueDiscipline::dequeue(Time now) {
-  auto p = do_dequeue(now);
-  if (p) ++stats_.dequeued;
-  return p;
+[[gnu::hot]] bool QueueDiscipline::dequeue(Time now, Packet& out) {
+  const bool got = do_dequeue(now, out);
+  if (got) ++stats_.dequeued;
+  return got;
 }
 
 void QueueDiscipline::set_tracer(BinaryTracer* tracer, std::uint16_t point) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "net/packet.hpp"
@@ -53,9 +52,13 @@ class QueueDiscipline {
   /// the packet's `enqueued_at` is stamped for delay accounting.
   bool enqueue(Packet&& p, Time now);
 
-  /// Remove the next packet to transmit, or nullopt if empty. AQM schemes
-  /// may silently drop head packets here (counted in stats).
-  std::optional<Packet> dequeue(Time now);
+  /// Move the next packet to transmit into `out` and return true, or
+  /// return false if there is none. AQM schemes may silently drop head
+  /// packets here (counted in stats). A dequeue from an empty queue leaves
+  /// `out` untouched, but a caller should still make it: it is how a
+  /// discipline learns the transmitter went idle (RED starts its idle
+  /// decay, CoDel leaves its dropping state).
+  bool dequeue(Time now, Packet& out);
 
   virtual std::size_t packet_count() const = 0;
   virtual std::size_t byte_count() const = 0;
@@ -85,7 +88,10 @@ class QueueDiscipline {
  protected:
   /// Admission decision + storage; return true if stored.
   virtual bool do_enqueue(Packet&& p, Time now) = 0;
-  virtual std::optional<Packet> do_dequeue(Time now) = 0;
+  /// Dequeue into `out`; return false (leaving `out` unspecified if
+  /// packets were dropped on the way, untouched otherwise) if nothing is
+  /// left to transmit.
+  virtual bool do_dequeue(Time now, Packet& out) = 0;
 
   void count_drop(const Packet& p, Time now) {
     ++stats_.dropped;

@@ -84,7 +84,7 @@ void RedQueue::set_drain_rate(double bps) {
   return true;
 }
 
-[[gnu::hot]] std::optional<Packet> RedQueue::do_dequeue(Time now) {
+[[gnu::hot]] bool RedQueue::do_dequeue(Time now, Packet& out) {
   if (q_.empty()) {
     // The transmitter found the queue empty: an idle period starts (ns-2
     // does the same on an empty dequeue).
@@ -92,15 +92,15 @@ void RedQueue::set_drain_rate(double bps) {
       idle_ = true;
       idle_since_ = now;
     }
-    return std::nullopt;
+    return false;
   }
-  Packet p = q_.pop();
-  bytes_ -= p.size_bytes;
+  q_.pop(out);
+  bytes_ -= out.size_bytes;
   if (q_.empty()) {
     idle_ = true;
     idle_since_ = now;
   }
-  return p;
+  return true;
 }
 
 }  // namespace qoesim::net

@@ -53,7 +53,7 @@ class QOESIM_SHARD_PLANE RedQueue final : public QueueDiscipline {
 
  protected:
   bool do_enqueue(Packet&& p, Time now) override;
-  std::optional<Packet> do_dequeue(Time now) override;
+  bool do_dequeue(Time now, Packet& out) override;
 
  private:
   RedParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -63,43 +64,61 @@ void Scheduler::release_slot(std::uint32_t slot) {
   static_cast<void>(doomed);
 }
 
-void Scheduler::heap_push(unsigned lane, HeapEntry entry) {
+void Scheduler::reserve_heap(unsigned lane) {
+  // Grow geometrically before anything is stored, so the push_back in
+  // heap_push never reallocates and a failure here orphans nothing.
   std::vector<HeapEntry>& heap = lanes_[lane];
-  // Capacity is pre-grown in schedule_with_seq(): never reallocates here.
-  heap.push_back(entry);
-  heap_sift_up(lane, heap.size() - 1);
+  if (heap.size() == heap.capacity()) {
+    heap.reserve(heap.capacity() == 0 ? 64 : heap.capacity() * 2);
+  }
+}
+
+template <unsigned Lane>
+void Scheduler::heap_push(HeapEntry entry) {
+  std::vector<HeapEntry>& heap = lanes_[Lane];
+  heap.push_back(entry);  // capacity pre-grown by reserve_heap()
+  heap_sift_up<Lane>(heap.size() - 1);
   const std::size_t depth = pending_events();
   if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
 }
 
-void Scheduler::heap_remove(unsigned lane, std::size_t pos) {
-  std::vector<HeapEntry>& heap = lanes_[lane];
+template <unsigned Lane>
+void Scheduler::heap_remove(std::size_t pos) {
+  std::vector<HeapEntry>& heap = lanes_[Lane];
   const HeapEntry last = heap.back();
   heap.pop_back();
   if (pos == heap.size()) return;  // removed the tail
-  heap_place(lane, pos, last);
-  // The replacement may be out of order in either direction.
-  if (pos > 0 && heap_less(last, heap[(pos - 1) / 4])) {
-    heap_sift_up(lane, pos);
+  heap_place<Lane>(pos, last);
+  heap_resift<Lane>(pos);
+}
+
+template <unsigned Lane>
+void Scheduler::heap_resift(std::size_t pos) {
+  // The entry at `pos` may be out of order in either direction.
+  const std::vector<HeapEntry>& heap = lanes_[Lane];
+  if (pos > 0 && heap_less(heap[pos], heap[(pos - 1) / 4])) {
+    heap_sift_up<Lane>(pos);
   } else {
-    heap_sift_down(lane, pos);
+    heap_sift_down<Lane>(pos);
   }
 }
 
-void Scheduler::heap_sift_up(unsigned lane, std::size_t pos) {
-  const std::vector<HeapEntry>& heap = lanes_[lane];
+template <unsigned Lane>
+void Scheduler::heap_sift_up(std::size_t pos) {
+  const std::vector<HeapEntry>& heap = lanes_[Lane];
   const HeapEntry entry = heap[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
     if (!heap_less(entry, heap[parent])) break;
-    heap_place(lane, pos, heap[parent]);
+    heap_place<Lane>(pos, heap[parent]);
     pos = parent;
   }
-  heap_place(lane, pos, entry);
+  heap_place<Lane>(pos, entry);
 }
 
-void Scheduler::heap_sift_down(unsigned lane, std::size_t pos) {
-  const std::vector<HeapEntry>& heap = lanes_[lane];
+template <unsigned Lane>
+void Scheduler::heap_sift_down(std::size_t pos) {
+  const std::vector<HeapEntry>& heap = lanes_[Lane];
   const HeapEntry entry = heap[pos];
   const std::size_t size = heap.size();
   for (;;) {
@@ -111,10 +130,10 @@ void Scheduler::heap_sift_down(unsigned lane, std::size_t pos) {
       if (heap_less(heap[c], heap[best])) best = c;
     }
     if (!heap_less(heap[best], entry)) break;
-    heap_place(lane, pos, heap[best]);
+    heap_place<Lane>(pos, heap[best]);
     pos = best;
   }
-  heap_place(lane, pos, entry);
+  heap_place<Lane>(pos, entry);
 }
 
 EventHandle Scheduler::schedule_at(Time when, Callback&& cb) {
@@ -124,68 +143,56 @@ EventHandle Scheduler::schedule_at(Time when, Callback&& cb) {
   }
   // Everything that can throw happens before the slot is acquired, so a
   // failure never orphans a slot holding the moved-in callback: the
-  // sequence check first, then any heap growth (geometric, so push_back
-  // below never reallocates).
+  // sequence check first, then any heap growth.
   const std::uint64_t seq = next_seq();
-  const std::uint32_t slot =
-      schedule_with_seq(kTimerLane, when, seq, std::move(cb));
+  reserve_heap(kTimerLane);
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].cb = std::move(cb);
+  heap_push<kTimerLane>(HeapEntry{when, seq << kSlotBits | slot});
+  ++stats_.scheduled;
   return EventHandle{this, slot, slots_[slot].generation};
 }
 
-void Scheduler::post_at(Time when, Callback&& cb) {
-  shard_.assert_held();
-  if (when < now_) {
-    throw std::invalid_argument("Scheduler::post_at: time in the past");
+[[gnu::hot]] void Scheduler::post_packet(Time when, std::uint64_t seq,
+                                         const PacketEvent& ev) {
+  reserve_heap(kPacketLane);
+  std::uint32_t index = packet_free_head_;
+  if (index != kNilIndex) {
+    std::memcpy(&packet_free_head_, packet_events_[index].closure,
+                sizeof packet_free_head_);
+    packet_events_[index] = ev;
+  } else {
+    if (packet_events_.size() > kSlotMask) {
+      throw std::length_error(
+          "Scheduler: more than 2^24 simultaneously pending packet events");
+    }
+    index = static_cast<std::uint32_t>(packet_events_.size());
+    packet_events_.push_back(ev);
   }
-  const std::uint64_t seq = next_seq();
-  schedule_with_seq(kPacketLane, when, seq, std::move(cb));
+  heap_push<kPacketLane>(HeapEntry{when, seq << kSlotBits | index});
+  ++stats_.scheduled;
 }
 
-void Scheduler::post_at_seq(Time when, std::uint64_t seq, Callback&& cb) {
-  shard_.assert_held();
-  if (when < now_) {
-    throw std::invalid_argument("Scheduler::post_at_seq: time in the past");
-  }
-  if (seq >= next_seq_) {
-    throw std::invalid_argument(
-        "Scheduler::post_at_seq: seq not from allocate_seq");
-  }
-#ifndef NDEBUG
-  // A duplicated seq would silently tie-break on recycled slot ids; catch
+void Scheduler::assert_seq_not_pending(std::uint64_t seq) const {
+  // A duplicated seq would silently tie-break on recycled arena ids; catch
   // the pending-duplicate half of the precondition where it is checkable.
   // The scan is bounded so debug builds of large simulations don't pay
   // O(pending) on every delivery (this path runs once per packet-hop).
-  if (pending_events() <= 4096) {
-    for (const std::vector<HeapEntry>& heap : lanes_) {
-      for (const HeapEntry& e : heap) {
-        assert(e.seq_slot >> kSlotBits != seq &&
-               "post_at_seq: seq already pending");
-        static_cast<void>(e);
-      }
+  if (pending_events() > 4096) return;
+  for (const std::vector<HeapEntry>& heap : lanes_) {
+    for (const HeapEntry& e : heap) {
+      assert(e.seq_id >> kSlotBits != seq &&
+             "post_at_seq: seq already pending");
+      static_cast<void>(e);
     }
   }
-#endif
-  schedule_with_seq(kPacketLane, when, seq, std::move(cb));
-}
-
-std::uint32_t Scheduler::schedule_with_seq(unsigned lane, Time when,
-                                           std::uint64_t seq, Callback&& cb) {
-  std::vector<HeapEntry>& heap = lanes_[lane];
-  if (heap.size() == heap.capacity()) {
-    heap.reserve(heap.capacity() == 0 ? 64 : heap.capacity() * 2);
-  }
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
-  heap_push(lane, HeapEntry{when, seq << kSlotBits | slot});
-  ++stats_.scheduled;
-  return slot;
+  static_cast<void>(seq);
 }
 
 void Scheduler::handle_cancel(std::uint32_t slot, std::uint64_t generation) {
   shard_.assert_held();
   if (!handle_pending(slot, generation)) return;  // fired or already cancelled
-  const std::uint32_t index = slots_[slot].heap_index;
-  heap_remove(index >> kLaneShift, index & kPosMask);
+  heap_remove<kTimerLane>(slots_[slot].heap_index);
   release_slot(slot);
   ++stats_.cancelled;
 }
@@ -197,36 +204,53 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   // Take the sequence first: if it throws, the entry's key is untouched
   // and the heap invariant still holds.
   const std::uint64_t seq = next_seq();
-  const std::uint32_t index = slots_[slot].heap_index;
-  const unsigned lane = index >> kLaneShift;
-  const std::size_t pos = index & kPosMask;
-  std::vector<HeapEntry>& heap = lanes_[lane];
-  HeapEntry& entry = heap[pos];
+  const std::size_t pos = slots_[slot].heap_index;
+  HeapEntry& entry = lanes_[kTimerLane][pos];
   entry.when = when < now_ ? now_ : when;  // past deadlines clamp to now
   // FIFO-wise, a rescheduled event behaves as if freshly scheduled.
-  entry.seq_slot = seq << kSlotBits | slot;
-  if (pos > 0 && heap_less(entry, heap[(pos - 1) / 4])) {
-    heap_sift_up(lane, pos);
-  } else {
-    heap_sift_down(lane, pos);
-  }
+  entry.seq_id = seq << kSlotBits | slot;
+  heap_resift<kTimerLane>(pos);
   ++stats_.rescheduled;
   return true;
 }
 
-[[gnu::hot]] void Scheduler::fire_head(unsigned lane) {
-  const HeapEntry head = lanes_[lane][0];
-  heap_remove(lane, 0);
+[[gnu::hot]] void Scheduler::fire_timer() {
+  const HeapEntry head = lanes_[kTimerLane][0];
+  heap_remove<kTimerLane>(0);
   now_ = head.when;
   // Move the callback out before invoking: the callback may schedule new
   // events, which can grow (reallocate) the slot arena. Releasing the slot
   // first also makes the event non-pending during its own execution and
   // lets the firing callback's slot be recycled immediately.
-  const std::uint32_t slot = head.slot();
+  const std::uint32_t slot = head.id();
   Callback cb = std::move(slots_[slot].cb);
   release_slot(slot);
   ++stats_.fired;
   cb();
+}
+
+[[gnu::hot]] void Scheduler::fire_packet() {
+  const HeapEntry head = lanes_[kPacketLane][0];
+  heap_remove<kPacketLane>(0);
+  now_ = head.when;
+  // Copy the entry out and free its index before invoking, for the same
+  // reasons as fire_timer(): a re-arm from inside the callback (a link's
+  // next delivery) reuses this very index.
+  const std::uint32_t index = head.id();
+  PacketEvent ev = packet_events_[index];
+  std::memcpy(packet_events_[index].closure, &packet_free_head_,
+              sizeof packet_free_head_);
+  packet_free_head_ = index;
+  ++stats_.fired;
+  ev.invoke(ev.closure);
+}
+
+[[gnu::hot]] void Scheduler::fire_head(unsigned lane) {
+  if (lane == kPacketLane) {
+    fire_packet();
+  } else {
+    fire_timer();
+  }
 }
 
 [[gnu::hot]] bool Scheduler::step() {

@@ -1,7 +1,7 @@
 // qoesim -- discrete-event scheduler.
 //
-// The Scheduler owns a slab-allocated arena of pending events driving two
-// indexed 4-ary min-heaps ("lanes") that share one (when, seq) key space:
+// The Scheduler keeps its pending events in two indexed 4-ary min-heaps
+// ("lanes") that share one (when, seq) key space:
 //
 //   timer lane   events scheduled through the handle-returning API
 //                (schedule_at/schedule_in, Simulation::at/after): protocol
@@ -20,24 +20,34 @@
 // unique across both lanes, so the firing order is exactly the order a
 // single heap would produce.
 //
-// Slots are recycled through a free list, so the steady-state
-// schedule/fire/cancel cycle performs no heap allocation (callbacks with
-// captures up to SmallCallback::kInlineCapacity bytes are stored inline;
-// see sim/callback.hpp). Events that share a timestamp fire in scheduling
-// order (FIFO, via a monotonic sequence number), which keeps simulations
+// Each lane has its own arena. A timer-lane event owns a Slot: a
+// SmallCallback (captures up to SmallCallback::kInlineCapacity bytes are
+// stored inline; see sim/callback.hpp), a generation for its handles and
+// a back-pointer to its heap position so cancel/reschedule can find it. A
+// packet-lane event needs none of that: its closure is a trivially
+// copyable capture of at most 16 bytes (`[this, slot]`), stored inline
+// beside a thunk pointer in a 24-byte PacketEvent, and heap sifts on that
+// lane write only the heap array. Both arenas recycle entries through
+// free lists, so the steady-state schedule/fire/cancel cycle performs no
+// heap allocation. Events that share a timestamp fire in scheduling order
+// (FIFO, via a monotonic sequence number), which keeps simulations
 // deterministic. Timer-lane events can be cancelled or rescheduled through
 // EventHandle; cancellation removes the entry from its heap immediately
 // instead of leaving a tombstone to purge later.
 //
-// EventHandle is a cheap {slot, generation} reference into the arena:
-// copies share liveness (cancelling through one copy is visible to all),
-// and a handle whose event has fired or been cancelled is inert (pending()
-// is false, cancel()/reschedule() are no-ops). Handles must not be used
-// after their Scheduler has been destroyed.
+// EventHandle is a cheap {slot, generation} reference into the timer
+// arena: copies share liveness (cancelling through one copy is visible to
+// all), and a handle whose event has fired or been cancelled is inert
+// (pending() is false, cancel()/reschedule() are no-ops). Handles must not
+// be used after their Scheduler has been destroyed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/annotations.hpp"
@@ -136,12 +146,23 @@ class QOESIM_SHARD_PLANE Scheduler {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Fire-and-forget: schedule `cb` on the packet lane at `when` (must be
+  /// Largest closure post_at/post_at_seq store: a `[this, slot]` capture.
+  static constexpr std::size_t kPacketClosureBytes = 16;
+
+  /// Fire-and-forget: schedule `f` on the packet lane at `when` (must be
   /// >= now()). No handle, so the event can be neither cancelled nor
-  /// moved; in exchange it never shares a heap with the timer population.
-  /// Ties with timer-lane events break on sequence number exactly as if
-  /// both lanes were one queue.
-  void post_at(Time when, Callback&& cb);
+  /// moved; in exchange it never shares a heap with the timer population
+  /// and takes no timer slot: `f` itself is stored inline in the packet
+  /// arena. Ties with timer-lane events break on sequence number exactly
+  /// as if both lanes were one queue.
+  template <typename F>
+  void post_at(Time when, F f) {
+    shard_.assert_held();
+    if (when < now_) {
+      throw std::invalid_argument("Scheduler::post_at: time in the past");
+    }
+    post_packet(when, next_seq(), make_packet_event(f));
+  }
 
   /// Reserve a FIFO position without scheduling anything. Events that
   /// share a timestamp fire in sequence order, so a component can fix an
@@ -155,14 +176,28 @@ class QOESIM_SHARD_PLANE Scheduler {
     return next_seq();
   }
 
-  /// Post `cb` on the packet lane at `when` with the FIFO position `seq`,
+  /// Post `f` on the packet lane at `when` with the FIFO position `seq`,
   /// which must have been obtained from allocate_seq() and used by at
   /// most one event ever. Consumes no new sequence number. Reusing a seq
-  /// would make same-timestamp ties break on arena slot ids (i.e.
+  /// would make same-timestamp ties break on arena entry ids (i.e.
   /// nondeterministic free-list history) instead of scheduling order;
   /// unallocated seqs throw, and debug builds assert no pending event
-  /// already holds the seq.
-  void post_at_seq(Time when, std::uint64_t seq, Callback&& cb);
+  /// already holds the seq. `f` is stored as in post_at.
+  template <typename F>
+  void post_at_seq(Time when, std::uint64_t seq, F f) {
+    shard_.assert_held();
+    if (when < now_) {
+      throw std::invalid_argument("Scheduler::post_at_seq: time in the past");
+    }
+    if (seq >= next_seq_) {
+      throw std::invalid_argument(
+          "Scheduler::post_at_seq: seq not from allocate_seq");
+    }
+#ifndef NDEBUG
+    assert_seq_not_pending(seq);
+#endif
+    post_packet(when, seq, make_packet_event(f));
+  }
 
   /// Run events until the queue is empty or `until` is reached. The clock
   /// is advanced to `until` even if the queue drains earlier.
@@ -211,41 +246,64 @@ class QOESIM_SHARD_PLANE Scheduler {
 
   static constexpr std::uint32_t kNilIndex = 0xffffffffu;
 
-  // Lane ids index lanes_. A slot's heap_index carries its lane in the
-  // top bit and its position in the lane's heap below; positions never
-  // reach bit 31 because at most 2^24 events are pending.
+  // Lane ids index lanes_.
   static constexpr unsigned kTimerLane = 0;
   static constexpr unsigned kPacketLane = 1;
-  static constexpr unsigned kLaneShift = 31;
-  static constexpr std::uint32_t kPosMask = (1u << kLaneShift) - 1;
 
-  // The (when, seq) sort key lives in the heap entry, not the slot, so
+  // The (when, seq) sort key lives in the heap entry, not the arena, so
   // sift comparisons stay within the contiguous heap array instead of
-  // chasing pointers into the arena. seq and slot share one word (40-bit
-  // monotonic sequence, 24-bit slot id), keeping entries at 16 bytes so a
+  // chasing pointers into an arena. seq and the event's arena id share one
+  // word (40-bit monotonic sequence, 24-bit id: a Slot on the timer lane, a
+  // PacketEvent on the packet lane), keeping entries at 16 bytes so a
   // 4-ary node's children span a single cache line. Both widths have
   // explicit overflow guards in the .cpp (2^40 events per scheduler, 2^24
-  // simultaneously pending events).
+  // simultaneously pending events per lane).
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   struct HeapEntry {
     Time when;
-    std::uint64_t seq_slot;  // (seq << kSlotBits) | slot
-    std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(seq_slot & kSlotMask);
+    std::uint64_t seq_id;  // (seq << kSlotBits) | arena id
+    std::uint32_t id() const {
+      return static_cast<std::uint32_t>(seq_id & kSlotMask);
     }
   };
 
-  // The generation is 64-bit so it can never wrap within the 2^40-event
-  // sequence budget: a stale handle stays inert for the scheduler's whole
-  // lifetime (no ABA on recycled slots). It widens Slot into existing
-  // padding, so the arena layout is unchanged.
+  // A timer-lane event. The generation is 64-bit so it can never wrap
+  // within the 2^40-event sequence budget: a stale handle stays inert for
+  // the scheduler's whole lifetime (no ABA on recycled slots). It widens
+  // Slot into existing padding, so the arena layout is unchanged.
   struct Slot {
     std::uint64_t generation = 0;
-    std::uint32_t heap_index = kNilIndex;  // (lane << kLaneShift) | pos
+    std::uint32_t heap_index = kNilIndex;  // position in the timer heap
     std::uint32_t next_free = kNilIndex;
     Callback cb;
   };
+
+  // A packet-lane event: the closure's bytes and the thunk that calls
+  // them. A free entry keeps its free-list link in the closure bytes.
+  struct PacketEvent {
+    void (*invoke)(void* closure);
+    alignas(std::uint64_t) unsigned char closure[kPacketClosureBytes];
+  };
+
+  template <typename F>
+  static PacketEvent make_packet_event(const F& f) {
+    static_assert(std::is_trivially_copyable_v<F>,
+                  "post_at/post_at_seq store the closure by copying its "
+                  "bytes: capture only pointers and ids (e.g. [this, slot]), "
+                  "or use schedule_at for anything else");
+    static_assert(sizeof(F) <= kPacketClosureBytes &&
+                      alignof(F) <= alignof(std::uint64_t),
+                  "post_at/post_at_seq closures are at most 16 bytes (e.g. "
+                  "[this, slot]); use schedule_at for larger captures");
+    PacketEvent ev{};
+    ev.invoke = [](void* closure) {
+      // The bytes were copied from an F, which implicitly creates one.
+      (*std::launder(reinterpret_cast<F*>(closure)))();
+    };
+    std::memcpy(ev.closure, &f, sizeof(F));
+    return ev;
+  }
 
   bool handle_pending(std::uint32_t slot, std::uint64_t generation) const {
     return slot < slots_.size() && slots_[slot].generation == generation;
@@ -253,31 +311,43 @@ class QOESIM_SHARD_PLANE Scheduler {
   void handle_cancel(std::uint32_t slot, std::uint64_t generation);
   bool handle_reschedule(std::uint32_t slot, std::uint64_t generation,
                          Time when);
-  std::uint32_t schedule_with_seq(unsigned lane, Time when, std::uint64_t seq,
-                                  Callback&& cb) QOESIM_REQUIRES_SHARD;
 
   std::uint32_t acquire_slot() QOESIM_REQUIRES_SHARD;
   void release_slot(std::uint32_t slot) QOESIM_REQUIRES_SHARD;
   std::uint64_t next_seq() QOESIM_REQUIRES_SHARD;
+  void post_packet(Time when, std::uint64_t seq, const PacketEvent& ev)
+      QOESIM_REQUIRES_SHARD;
+  void assert_seq_not_pending(std::uint64_t seq) const;
 
   // Each lane is an indexed 4-ary min-heap keyed by (when, seq).
-  // Comparing the combined seq_slot word is equivalent to comparing seq:
+  // Comparing the combined seq_id word is equivalent to comparing seq:
   // among equal timestamps the (strictly monotonic) sequence occupies the
-  // high bits and no two entries -- in either lane -- share one.
+  // high bits and no two entries -- in either lane -- share one. The lane
+  // is a template parameter so that only timer-lane sifts maintain the
+  // slots' heap_index back-pointers.
   static bool heap_less(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
-    return a.seq_slot < b.seq_slot;
+    return a.seq_id < b.seq_id;
   }
-  void heap_place(unsigned lane, std::size_t pos, const HeapEntry& entry)
+  template <unsigned Lane>
+  void heap_place(std::size_t pos, const HeapEntry& entry)
       QOESIM_REQUIRES_SHARD {
-    lanes_[lane][pos] = entry;
-    slots_[entry.slot()].heap_index =
-        lane << kLaneShift | static_cast<std::uint32_t>(pos);
+    lanes_[Lane][pos] = entry;
+    if constexpr (Lane == kTimerLane) {
+      slots_[entry.id()].heap_index = static_cast<std::uint32_t>(pos);
+    }
   }
-  void heap_push(unsigned lane, HeapEntry entry) QOESIM_REQUIRES_SHARD;
-  void heap_remove(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
-  void heap_sift_up(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
-  void heap_sift_down(unsigned lane, std::size_t pos) QOESIM_REQUIRES_SHARD;
+  void reserve_heap(unsigned lane) QOESIM_REQUIRES_SHARD;
+  template <unsigned Lane>
+  void heap_push(HeapEntry entry) QOESIM_REQUIRES_SHARD;
+  template <unsigned Lane>
+  void heap_remove(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  template <unsigned Lane>
+  void heap_resift(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  template <unsigned Lane>
+  void heap_sift_up(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  template <unsigned Lane>
+  void heap_sift_down(std::size_t pos) QOESIM_REQUIRES_SHARD;
 
   // The lane whose head fires next (one extra compare per event), or
   // kNoLane when both are empty.
@@ -291,15 +361,20 @@ class QOESIM_SHARD_PLANE Scheduler {
   }
   // Pop the head event of `lane` and invoke it.
   void fire_head(unsigned lane) QOESIM_REQUIRES_SHARD;
+  void fire_timer() QOESIM_REQUIRES_SHARD;
+  void fire_packet() QOESIM_REQUIRES_SHARD;
 
   Time now_;
   std::uint64_t next_seq_ = 0;
   ShardAffinity shard_;
   Stats stats_;
   StatsFold* stats_fold_ = nullptr;
-  std::vector<Slot> slots_;
-  std::vector<HeapEntry> lanes_[2];  // [kTimerLane], [kPacketLane]
+  // The lanes' heaps, indexed by kTimerLane and kPacketLane.
+  std::vector<HeapEntry> lanes_[2];
+  std::vector<Slot> slots_;  // the timer lane's arena
   std::uint32_t free_head_ = kNilIndex;
+  std::vector<PacketEvent> packet_events_;  // the packet lane's arena
+  std::uint32_t packet_free_head_ = kNilIndex;
 };
 
 inline bool EventHandle::pending() const {

@@ -49,13 +49,14 @@ TEST(EcnRed, MarksEctInsteadOfEarlyDropping) {
   // Hold the queue mid-band (between min_th=25 and max_th=75) so every
   // admission decision runs the probabilistic early-drop rule.
   Time now = Time::zero();
+  Packet out;
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(q.enqueue(make_packet(Ecn::kEct0), now));
     now = now + Time::milliseconds(1);
   }
   for (int i = 0; i < 4000; ++i) {
     q.enqueue(make_packet(Ecn::kEct0), now);
-    (void)q.dequeue(now);
+    (void)q.dequeue(now, out);
     now = now + Time::milliseconds(1);
   }
   // ECT traffic through a never-full RED must lose nothing: each early
@@ -72,6 +73,7 @@ TEST(EcnRed, NotEctStillDropsAndNoMarksWhenDisabled) {
   // Marking disabled but ECT traffic: also drops, zero marks.
   RedQueue mark_off(100, net::RedParams{}, 7);
   Time now = Time::zero();
+  Packet out;
   for (int i = 0; i < 50; ++i) {
     ect_off.enqueue(make_packet(Ecn::kNotEct), now);
     mark_off.enqueue(make_packet(Ecn::kEct0), now);
@@ -79,9 +81,9 @@ TEST(EcnRed, NotEctStillDropsAndNoMarksWhenDisabled) {
   }
   for (int i = 0; i < 4000; ++i) {
     ect_off.enqueue(make_packet(Ecn::kNotEct), now);
-    (void)ect_off.dequeue(now);
+    (void)ect_off.dequeue(now, out);
     mark_off.enqueue(make_packet(Ecn::kEct0), now);
-    (void)mark_off.dequeue(now);
+    (void)mark_off.dequeue(now, out);
     now = now + Time::milliseconds(1);
   }
   EXPECT_EQ(ect_off.stats().marked, 0u);
@@ -113,14 +115,13 @@ TEST(EcnCoDel, MarksAtDequeueInsteadOfDropping) {
   // Build sustained sojourn above target (5 ms) for over an interval
   // (100 ms): enqueue at t, dequeue 150 ms later.
   Time t = Time::zero();
+  Packet out;
   std::uint64_t ce_delivered = 0;
   for (int i = 0; i < 3000; ++i) {
     q.enqueue(make_packet(Ecn::kEct0), t);
     t = t + Time::milliseconds(1);
     if (i >= 150) {
-      if (auto p = q.dequeue(t)) {
-        if (p->ecn == Ecn::kCe) ++ce_delivered;
-      }
+      if (q.dequeue(t, out) && out.ecn == Ecn::kCe) ++ce_delivered;
     }
   }
   EXPECT_GT(q.stats().marked, 0u);
@@ -135,10 +136,11 @@ TEST(EcnCoDel, NotEctTrafficStillDropsWithMarkingEnabled) {
   CoDelQueue q(1000);
   q.set_ecn_marking(true);
   Time t = Time::zero();
+  Packet out;
   for (int i = 0; i < 3000; ++i) {
     q.enqueue(make_packet(Ecn::kNotEct), t);
     t = t + Time::milliseconds(1);
-    if (i >= 150) (void)q.dequeue(t);
+    if (i >= 150) (void)q.dequeue(t, out);
   }
   EXPECT_GT(q.stats().dropped, 0u);
   EXPECT_EQ(q.stats().marked, 0u);

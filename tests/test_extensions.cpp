@@ -33,10 +33,11 @@ TEST(PriorityQueue, RealTimeServedFirst) {
   q.enqueue(tcp_pkt(), Time::zero());
   q.enqueue(tcp_pkt(), Time::zero());
   q.enqueue(udp_pkt(), Time::zero());
-  auto first = q.dequeue(Time::zero());
-  ASSERT_TRUE(first);
-  EXPECT_EQ(first->proto, net::Protocol::kUdp);
-  EXPECT_EQ(q.dequeue(Time::zero())->proto, net::Protocol::kTcp);
+  net::Packet out;
+  ASSERT_TRUE(q.dequeue(Time::zero(), out));
+  EXPECT_EQ(out.proto, net::Protocol::kUdp);
+  ASSERT_TRUE(q.dequeue(Time::zero(), out));
+  EXPECT_EQ(out.proto, net::Protocol::kTcp);
 }
 
 TEST(PriorityQueue, ClassesHaveSeparateSpace) {
@@ -68,7 +69,8 @@ TEST(PriorityQueue, ConservationInvariant) {
       q.enqueue(rng.bernoulli(0.3) ? udp_pkt() : tcp_pkt(), Time::zero());
       ++offered;
     } else {
-      q.dequeue(Time::zero());
+      net::Packet out;
+      q.dequeue(Time::zero(), out);
     }
   }
   EXPECT_EQ(q.stats().offered, offered);

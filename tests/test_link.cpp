@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -112,6 +114,96 @@ TEST_F(LinkTest, InvalidConstructionThrows) {
                std::invalid_argument);
 }
 
+// The constructor's error message, or "" if it accepted the arguments.
+std::string construction_error(Simulation& sim, double rate, Time delay) {
+  try {
+    Link link(sim, "uplink-7", rate, delay, std::make_unique<DropTailQueue>(1));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(LinkTest, RejectsNonFiniteOrNonPositiveRateAndNegativeDelay) {
+  // A NaN rate used to pass the `<= 0` check and reach serialization's
+  // integer cast; a negative delay used to surface only at the first
+  // delivery, as a scheduler error that named no link.
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), 0.0,
+                            -1e6}) {
+    SCOPED_TRACE(rate);
+    const std::string error = construction_error(sim, rate, Time::zero());
+    EXPECT_NE(error.find("uplink-7"), std::string::npos) << error;
+    EXPECT_NE(error.find("rate"), std::string::npos) << error;
+  }
+  const std::string error = construction_error(sim, 1e6, Time::nanoseconds(-1));
+  EXPECT_NE(error.find("uplink-7"), std::string::npos) << error;
+  EXPECT_NE(error.find("delay"), std::string::npos) << error;
+  EXPECT_EQ(construction_error(sim, 1e6, Time::zero()), "");
+}
+
+TEST_F(LinkTest, RxObserverAndSinkSeeTheDeliveredPacket) {
+  // Delivery hands out the packet in its in-flight slot: the rx observer
+  // and then the sink must see every field the sender set.
+  Link link(sim, "l", 1e6, Time::milliseconds(2),
+            std::make_unique<DropTailQueue>(10));
+  Packet sent = make_packet(1250);  // 10 ms serialization
+  sent.flow = 42;
+  sent.src = 3;
+  sent.dst = 9;
+  sent.proto = Protocol::kUdp;
+  sent.ecn = Ecn::kEct0;
+  sent.udp.dst_port = 5004;
+  sent.app.kind = AppKind::kVoip;
+  sent.app.seq = 17;
+  std::vector<Packet> observed;
+  std::vector<Time> observed_at;
+  std::vector<Packet> sunk;
+  link.add_rx_observer([&](const Packet& p, Time at) {
+    observed.push_back(p);
+    observed_at.push_back(at);
+  });
+  link.set_sink([&](Packet&& p) { sunk.push_back(p); });
+  link.send(Packet(sent));
+  sim.run();
+  ASSERT_EQ(observed.size(), 1u);
+  ASSERT_EQ(sunk.size(), 1u);
+  EXPECT_EQ(observed_at[0], Time::milliseconds(12));
+  for (const Packet& got : {observed[0], sunk[0]}) {
+    EXPECT_EQ(got.uid, sent.uid);
+    EXPECT_EQ(got.flow, 42u);
+    EXPECT_EQ(got.src, 3u);
+    EXPECT_EQ(got.dst, 9u);
+    EXPECT_EQ(got.proto, Protocol::kUdp);
+    EXPECT_EQ(got.ecn, Ecn::kEct0);
+    EXPECT_EQ(got.size_bytes, 1250u);
+    EXPECT_EQ(got.udp.dst_port, 5004u);
+    EXPECT_EQ(got.app.kind, AppKind::kVoip);
+    EXPECT_EQ(got.app.seq, 17u);
+    EXPECT_EQ(got.enqueued_at, Time::zero());
+  }
+}
+
+TEST_F(LinkTest, PoolBalancesAfterDrainAndEmptyDequeuesAreNotCounted) {
+  // Every transmission ends in a dequeue that finds the queue empty; the
+  // slot staged for it must not count as acquired or as slab growth.
+  Link link(sim, "l", 1e9, Time::milliseconds(1),
+            std::make_unique<DropTailQueue>(100));
+  std::uint64_t delivered = 0;
+  link.set_sink([&](Packet&&) { ++delivered; });
+  for (int i = 0; i < 40; ++i) link.send(make_packet(1500));
+  sim.run();
+  EXPECT_EQ(delivered, 40u);
+  const PacketPool::Stats& pool = link.pool_stats();
+  EXPECT_EQ(pool.acquired, 40u);
+  EXPECT_EQ(pool.released, pool.acquired);
+  // All 40 packets were in flight at once (12 us serialization against
+  // 1 ms propagation), each in a slot of its own.
+  EXPECT_EQ(pool.peak_in_flight, 40u);
+  EXPECT_EQ(pool.slab_growths, 40u);
+}
+
 TEST_F(LinkTest, WireRingPreservesFifoOrderWithManyInFlight) {
   // 12 us serialization vs 10 ms propagation: ~800 packets ride the wire
   // concurrently, all funneled through the single delivery event.
@@ -179,17 +271,20 @@ TEST_F(LinkTest, SteadyStateForwardingDoesNotGrowThePool) {
 
 // Open-loop source: one packet every `gap`, alternating UDP and TCP so a
 // priority queue fills both bands. Re-posts itself from inside its own
-// firing, so the scheduler recycles the just-freed arena slot.
+// firing, so the scheduler recycles the just-freed packet-lane entry.
 struct OverloadSource {
   Simulation* sim;
   Link* link;
   Time gap;
   std::uint64_t sent = 0;
-  void operator()() {
+  void post(Time at) {
+    sim->scheduler().post_at(at, [this] { fire(); });
+  }
+  void fire() {
     Packet p = make_packet(1000);
     p.proto = sent++ % 2 == 0 ? Protocol::kUdp : Protocol::kTcp;
     link->send(std::move(p));
-    sim->scheduler().post_at(sim->now() + gap, OverloadSource(*this));
+    post(sim->now() + gap);
   }
 };
 
@@ -215,8 +310,8 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
     trace_cfg.capacity_records = 1 << 15;
     BinaryTracer tracer(trace_cfg);
     tracer.observe_link(link, 0);
-    sim.scheduler().post_at(Time::zero(),
-                            OverloadSource{&sim, &link, Time::microseconds(600)});
+    OverloadSource source{&sim, &link, Time::microseconds(600)};
+    source.post(Time::zero());
     sim.run_until(Time::seconds(1));  // warm-up
 
     const std::uint64_t delivered_before = delivered;

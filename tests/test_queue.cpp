@@ -32,12 +32,12 @@ TEST(DropTail, FifoOrder) {
     Packet p = make_packet(100 + i);
     ASSERT_TRUE(q.enqueue(std::move(p), Time::zero()));
   }
+  Packet out;
   for (std::uint32_t i = 0; i < 5; ++i) {
-    auto p = q.dequeue(Time::zero());
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->size_bytes, 100 + i);
+    ASSERT_TRUE(q.dequeue(Time::zero(), out));
+    EXPECT_EQ(out.size_bytes, 100 + i);
   }
-  EXPECT_FALSE(q.dequeue(Time::zero()).has_value());
+  EXPECT_FALSE(q.dequeue(Time::zero(), out));
 }
 
 TEST(DropTail, TailDropAtCapacity) {
@@ -57,26 +57,28 @@ TEST(DropTail, ByteCountTracksContents) {
   q.enqueue(make_packet(1000), Time::zero());
   q.enqueue(make_packet(500), Time::zero());
   EXPECT_EQ(q.byte_count(), 1500u);
-  q.dequeue(Time::zero());
+  Packet out;
+  q.dequeue(Time::zero(), out);
   EXPECT_EQ(q.byte_count(), 500u);
 }
 
 TEST(DropTail, EnqueueStampsTime) {
   DropTailQueue q(10);
   q.enqueue(make_packet(), Time::seconds(3));
-  auto p = q.dequeue(Time::seconds(5));
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->enqueued_at, Time::seconds(3));
+  Packet out;
+  ASSERT_TRUE(q.dequeue(Time::seconds(5), out));
+  EXPECT_EQ(out.enqueued_at, Time::seconds(3));
 }
 
 TEST(Red, DropsEarlyUnderSustainedLoad) {
   RedQueue q(100);
+  Packet out;
   std::uint64_t early_drops = 0;
   // Keep the queue persistently half-full; RED should drop before the
   // hard limit is reached.
   for (int round = 0; round < 2000; ++round) {
     q.enqueue(make_packet(), Time::zero());
-    if (q.packet_count() > 60) q.dequeue(Time::zero());
+    if (q.packet_count() > 60) q.dequeue(Time::zero(), out);
     if (q.stats().dropped > 0 && q.packet_count() < 100) {
       early_drops = q.stats().dropped;
     }
@@ -87,9 +89,10 @@ TEST(Red, DropsEarlyUnderSustainedLoad) {
 
 TEST(Red, NoDropsWhenIdle) {
   RedQueue q(100);
+  Packet out;
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.enqueue(make_packet(), Time::zero()));
-    q.dequeue(Time::zero());
+    q.dequeue(Time::zero(), out);
   }
   EXPECT_EQ(q.stats().dropped, 0u);
 }
@@ -97,11 +100,12 @@ TEST(Red, NoDropsWhenIdle) {
 TEST(CoDel, NoDropsBelowTarget) {
   CoDelQueue q(1000);
   Time now = Time::zero();
+  Packet out;
   // Sojourn always < 5ms target.
   for (int i = 0; i < 1000; ++i) {
     q.enqueue(make_packet(), now);
     now += Time::milliseconds(1);
-    q.dequeue(now);
+    q.dequeue(now, out);
   }
   EXPECT_EQ(q.stats().dropped, 0u);
 }
@@ -109,6 +113,7 @@ TEST(CoDel, NoDropsBelowTarget) {
 TEST(CoDel, DropsWhenSojournPersistsAboveTarget) {
   CoDelQueue q(1000);
   Time now = Time::zero();
+  Packet out;
   // Fill with a standing queue so sojourn stays ~100ms.
   for (int i = 0; i < 100; ++i) {
     q.enqueue(make_packet(), now);
@@ -117,7 +122,7 @@ TEST(CoDel, DropsWhenSojournPersistsAboveTarget) {
   std::uint64_t delivered = 0;
   for (int i = 0; i < 400; ++i) {
     q.enqueue(make_packet(), now);
-    if (q.dequeue(now)) ++delivered;
+    if (q.dequeue(now, out)) ++delivered;
     now += Time::milliseconds(5);
   }
   EXPECT_GT(q.stats().dropped, 0u);
@@ -140,6 +145,7 @@ class QueueConservation
 TEST_P(QueueConservation, OfferedEqualsDeliveredPlusDroppedPlusQueued) {
   const auto [kind, capacity] = GetParam();
   auto q = make_queue(kind, capacity);
+  Packet out;
   RandomStream rng(99);
   Time now = Time::zero();
   std::uint64_t offered = 0;
@@ -150,7 +156,7 @@ TEST_P(QueueConservation, OfferedEqualsDeliveredPlusDroppedPlusQueued) {
                      rng.uniform_int(40, kMtuBytes))),
                  now);
       ++offered;
-    } else if (q->dequeue(now)) {
+    } else if (q->dequeue(now, out)) {
       ++dequeued;
     }
     EXPECT_LE(q->packet_count(), capacity);
@@ -177,6 +183,7 @@ TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
   PacketRing ring;
   std::deque<std::uint64_t> ref;
   std::uint64_t next = 0;
+  Packet out;
   for (int round = 0; round < 4000; ++round) {
     const bool grow = rng() % 3 != 0 || ref.empty();
     const int burst = static_cast<int>(rng() % (round % 97 == 0 ? 200 : 9));
@@ -188,7 +195,8 @@ TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
         ref.push_back(next++);
       } else if (!ref.empty()) {
         ASSERT_EQ(ring.front().uid, ref.front());
-        ASSERT_EQ(ring.pop().uid, ref.front());
+        ring.pop(out);
+        ASSERT_EQ(out.uid, ref.front());
         ref.pop_front();
       }
     }
@@ -196,7 +204,8 @@ TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
     ASSERT_EQ(ring.empty(), ref.empty());
   }
   while (!ref.empty()) {
-    ASSERT_EQ(ring.pop().uid, ref.front());
+    ring.pop(out);
+    ASSERT_EQ(out.uid, ref.front());
     ref.pop_front();
   }
   EXPECT_TRUE(ring.empty());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,12 @@ Packet make_packet(std::uint32_t size = kMtuBytes,
   return p;
 }
 
+// Dequeue one packet and discard it; false if none came out.
+bool discard_one(QueueDiscipline& q, Time now) {
+  Packet out;
+  return q.dequeue(now, out);
+}
+
 // ---------------------------------------------------------------------------
 // Stats invariants across all four disciplines and a spread of capacities.
 
@@ -54,8 +61,8 @@ TEST_P(DisciplineConformance, StatsAndByteAccountingInvariants) {
       const auto proto =
           rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
       q->enqueue(make_packet(size, proto), now);
-    } else if (auto p = q->dequeue(now)) {
-      delivered_bytes += p->size_bytes;
+    } else if (Packet out; q->dequeue(now, out)) {
+      delivered_bytes += out.size_bytes;
       ++dequeued;
     }
     // Occupancy never exceeds the configured buffer -- the very variable
@@ -92,7 +99,7 @@ TEST_P(DisciplineConformance, EnqueueOnlyDisciplinesSplitOfferedExactly) {
                                                 : Protocol::kTcp),
                  now);
     } else {
-      q->dequeue(now);
+      discard_one(*q, now);
     }
     ASSERT_EQ(q->stats().offered, q->stats().enqueued + q->stats().dropped);
     now += Time::microseconds(50);
@@ -105,6 +112,105 @@ INSTANTIATE_TEST_SUITE_P(
                                          QueueKind::kCoDel,
                                          QueueKind::kPriority),
                        ::testing::Values<std::size_t>(1, 8, 64, 256)));
+
+// ---------------------------------------------------------------------------
+// The dequeue contract: `bool dequeue(now, out)`.
+
+class DequeueContract : public ::testing::TestWithParam<QueueKind> {};
+
+TEST_P(DequeueContract, EmptyDequeueLeavesOutUntouchedAndUncounted) {
+  auto q = make_queue(GetParam(), 8, /*seed=*/4242);
+  Packet out = make_packet(777, Protocol::kUdp);
+  out.ecn = Ecn::kCe;
+  out.enqueued_at = Time::milliseconds(3);
+  unsigned char before[sizeof(Packet)];
+  std::memcpy(before, &out, sizeof(Packet));
+  EXPECT_FALSE(q->dequeue(Time::seconds(1), out));
+  EXPECT_EQ(std::memcmp(before, &out, sizeof(Packet)), 0);
+  // Once more after a packet has passed through and the queue drained.
+  ASSERT_TRUE(q->enqueue(make_packet(), Time::seconds(1)));
+  Packet first;
+  ASSERT_TRUE(q->dequeue(Time::seconds(1), first));
+  EXPECT_FALSE(q->dequeue(Time::seconds(2), out));
+  EXPECT_EQ(std::memcmp(before, &out, sizeof(Packet)), 0);
+  EXPECT_EQ(q->stats().dequeued, 1u);
+}
+
+struct ScriptExpectation {
+  std::uint64_t out_digest;  // FNV-1a over (uid, ecn) of every dequeued packet
+  QueueStats stats;
+};
+
+// A seeded offer/dequeue script under ~1.5x overload, with ECN marking on
+// and half the packets ECT, so the AQMs both drop and mark.
+ScriptExpectation run_dequeue_script(QueueDiscipline& q) {
+  q.set_drain_rate(12e6);
+  q.set_ecn_marking(true);
+  RandomStream rng(2024);
+  Time now = Time::zero();
+  std::uint64_t uid = 1;
+  std::uint64_t digest = 1469598103934665603ull;
+  const auto mix = [&digest](std::uint64_t v) {
+    digest = (digest ^ v) * 1099511628211ull;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    if (rng.bernoulli(0.6)) {
+      Packet p;
+      p.uid = uid++;
+      p.size_bytes = static_cast<std::uint32_t>(rng.uniform(40.0, 1500.0));
+      p.proto = rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
+      p.ecn = rng.bernoulli(0.5) ? Ecn::kEct0 : Ecn::kNotEct;
+      q.enqueue(std::move(p), now);
+    } else if (Packet out; q.dequeue(now, out)) {
+      mix(out.uid);
+      mix(static_cast<std::uint64_t>(out.ecn));
+    }
+    now += Time::microseconds(rng.uniform(1.0, 1800.0));
+  }
+  return {digest, q.stats()};
+}
+
+TEST_P(DequeueContract, SeededScriptMatchesPinnedSequenceAndStats) {
+  // Recorded from the discipline implementations before dequeue wrote
+  // into a caller's packet; the packet sequence and every counter must
+  // not move. Fields: offered, enqueued, dequeued, dropped, marked,
+  // bytes_offered, bytes_dropped, max_packets_seen.
+  ScriptExpectation want{};
+  switch (GetParam()) {
+    case QueueKind::kDropTail:
+      want = {0x0233dfa15277d39dull,
+              {1760, 1268, 1239, 492, 0, 1305580, 356266, 32}};
+      break;
+    case QueueKind::kRed:
+      want = {0x945f511972115430ull,
+              {1760, 1260, 1239, 500, 70, 1305580, 367662, 32}};
+      break;
+    case QueueKind::kCoDel:
+      want = {0x92e115aecd0bf395ull,
+              {1760, 1360, 1239, 493, 101, 1305580, 354083, 32}};
+      break;
+    case QueueKind::kPriority:
+      want = {0x3e68d76cb8c77120ull,
+              {1760, 1262, 1239, 498, 0, 1305580, 372818, 32}};
+      break;
+  }
+  auto q = make_queue(GetParam(), 32, /*seed=*/77);
+  const ScriptExpectation got = run_dequeue_script(*q);
+  EXPECT_EQ(got.out_digest, want.out_digest);
+  EXPECT_EQ(got.stats.offered, want.stats.offered);
+  EXPECT_EQ(got.stats.enqueued, want.stats.enqueued);
+  EXPECT_EQ(got.stats.dequeued, want.stats.dequeued);
+  EXPECT_EQ(got.stats.dropped, want.stats.dropped);
+  EXPECT_EQ(got.stats.marked, want.stats.marked);
+  EXPECT_EQ(got.stats.bytes_offered, want.stats.bytes_offered);
+  EXPECT_EQ(got.stats.bytes_dropped, want.stats.bytes_dropped);
+  EXPECT_EQ(got.stats.max_packets_seen, want.stats.max_packets_seen);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDisciplines, DequeueContract,
+                         ::testing::Values(QueueKind::kDropTail,
+                                           QueueKind::kRed, QueueKind::kCoDel,
+                                           QueueKind::kPriority));
 
 TEST(MakeQueueConformance, AllKindsConstructAndName) {
   EXPECT_EQ(make_queue(QueueKind::kDropTail, 8)->name(), "DropTail");
@@ -154,9 +260,9 @@ TEST(PriorityCapacity, HighPriorityServedFirstWithinCapacity) {
   PriorityQueue q(8, PriorityParams{0.5});
   q.enqueue(make_packet(100, Protocol::kTcp), Time::zero());
   q.enqueue(make_packet(200, Protocol::kUdp), Time::zero());
-  auto first = q.dequeue(Time::zero());
-  ASSERT_TRUE(first);
-  EXPECT_EQ(first->proto, Protocol::kUdp);
+  Packet first;
+  ASSERT_TRUE(q.dequeue(Time::zero(), first));
+  EXPECT_EQ(first.proto, Protocol::kUdp);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,13 +275,13 @@ TEST(RedIdleDecay, AverageDecaysAcrossIdlePeriod) {
   Time now = Time::zero();
   for (int i = 0; i < 2000; ++i) {
     q.enqueue(make_packet(), now);
-    if (q.packet_count() > 40) q.dequeue(now);
+    if (q.packet_count() > 40) discard_one(q, now);
     now += Time::milliseconds(1);
   }
   const double busy_avg = q.average_queue();
   ASSERT_GT(busy_avg, 10.0);
   // Drain completely; the last successful dequeue marks the idle start.
-  while (q.dequeue(now)) {
+  while (discard_one(q, now)) {
   }
   // One second idle = 1000 packet-times: avg must decay by (1-w)^1000.
   now += Time::seconds(1);
@@ -195,17 +301,17 @@ TEST(RedIdleDecay, FrozenAverageNoLongerDropsAfterLongIdle) {
   // thresholds where early drop is active.
   for (int i = 0; i < 4000; ++i) {
     q.enqueue(make_packet(), now);
-    if (q.packet_count() > 60) q.dequeue(now);
+    if (q.packet_count() > 60) discard_one(q, now);
     now += Time::milliseconds(1);
   }
   ASSERT_GT(q.average_queue(), 25.0);
-  while (q.dequeue(now)) {
+  while (discard_one(q, now)) {
   }
   now += Time::seconds(60);  // decays avg to ~0
   const auto dropped_before = q.stats().dropped;
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.enqueue(make_packet(), now));
-    q.dequeue(now);
+    discard_one(q, now);
     now += Time::milliseconds(1);
   }
   EXPECT_EQ(q.stats().dropped, dropped_before);
@@ -219,7 +325,7 @@ std::vector<bool> red_admission_pattern(QueueDiscipline& q) {
   Time now = Time::zero();
   for (int i = 0; i < 3000; ++i) {
     pattern.push_back(q.enqueue(make_packet(), now));
-    if (q.packet_count() > 50) q.dequeue(now);
+    if (q.packet_count() > 50) discard_one(q, now);
     now += Time::milliseconds(1);
   }
   return pattern;
@@ -272,7 +378,7 @@ void codel_standing(CoDelQueue& q, Time& now, Time sojourn, Time spacing,
   for (int i = 0; i < steps; ++i) {
     // Keep ~20 packets of backlog whose head is `sojourn` old.
     while (q.packet_count() < 20) q.enqueue(make_packet(), now - sojourn);
-    q.dequeue(now);
+    discard_one(q, now);
     now += spacing;
   }
 }
@@ -284,7 +390,7 @@ TEST(CoDelHysteresis, QuickReentryResumesFromPreviousRate) {
   codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 300);
   ASSERT_TRUE(q.dropping());
   // Draining the backlog ends the dropping state (empty queue).
-  while (q.dequeue(now)) {
+  while (discard_one(q, now)) {
   }
   ASSERT_FALSE(q.dropping());
   const std::uint32_t count_at_exit = q.drop_count();
@@ -302,7 +408,7 @@ TEST(CoDelHysteresis, SlowReentryRestartsFromOne) {
   Time now = Time::seconds(1);
   codel_standing(q, now, Time::milliseconds(50), Time::milliseconds(20), 300);
   ASSERT_TRUE(q.dropping());
-  while (q.dequeue(now)) {
+  while (discard_one(q, now)) {
   }
   ASSERT_FALSE(q.dropping());
   ASSERT_GT(q.drop_count(), 2u);

@@ -5,6 +5,7 @@
 
 #include "sim/simulation.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -397,6 +398,84 @@ TEST(Scheduler, RescheduledTimerInterleavesWithPacketLane) {
   EXPECT_EQ(s.scheduled, 3u);
   EXPECT_EQ(s.fired, 3u);
   EXPECT_EQ(s.peak_queue_depth, 3u);
+}
+
+TEST(Scheduler, PacketLaneClosureOfSixteenBytesKeepsItsCaptures) {
+  // A packet-lane closure is stored as raw bytes beside its thunk, and a
+  // free entry reuses those bytes for its free-list link. A full 16-byte
+  // capture must come back intact, also from recycled entries.
+  Scheduler sched;
+  std::vector<std::uint64_t> seen;
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      const std::uint64_t value = 0x0123456789abcdefull ^ (round << 32 | i);
+      const auto closure = [out = &seen, value] { out->push_back(value); };
+      static_assert(sizeof(closure) == Scheduler::kPacketClosureBytes);
+      sched.post_at(sched.now() + Time::microseconds(i), closure);
+      expected.push_back(value);
+    }
+    sched.run();
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+// A fixed script over both lanes: packet events that re-post themselves
+// (some at reserved seqs, with a timer racing them at the same
+// timestamp) while they reschedule and cancel timers. Its counters and
+// firing order are pinned, so a change to the scheduler's internals that
+// alters either shows here.
+struct LaneScript {
+  Scheduler sched;
+  std::vector<EventHandle> timers;
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  int posts_left = 400;
+  void note(std::int64_t id) {
+    for (const std::int64_t v : {id, sched.now().ns()}) {
+      digest = (digest ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+    }
+  }
+};
+
+void lane_script_packet(LaneScript* s, int id) {
+  s->note(id);
+  if (--s->posts_left <= 0) return;
+  const Time next = s->sched.now() + Time::microseconds(700 * (id % 5 + 1));
+  if (id % 3 == 0) {
+    const std::uint64_t seq = s->sched.allocate_seq();
+    s->timers.push_back(s->sched.schedule_at(next, [s, id] { s->note(-id); }));
+    s->sched.post_at_seq(next, seq, [s, id] { lane_script_packet(s, id + 1); });
+  } else {
+    s->sched.post_at(next, [s, id] { lane_script_packet(s, id + 1); });
+  }
+  const auto pick = [s](int k) {
+    return static_cast<std::size_t>(k) % s->timers.size();
+  };
+  if (id % 4 == 0) s->timers[pick(id)].reschedule(next);
+  if (id % 7 == 0) s->timers[pick(id * 3)].cancel();
+}
+
+TEST(Scheduler, MixedLaneScriptCountersArePinned) {
+  LaneScript s;
+  for (int i = 0; i < 40; ++i) {
+    const Time when = Time::milliseconds((i * 7) % 50 + 1);
+    s.timers.push_back(
+        s.sched.schedule_at(when, [sp = &s, i] { sp->note(1000 + i); }));
+  }
+  for (int chain = 0; chain < 6; ++chain) {
+    LaneScript* sp = &s;
+    s.sched.post_at(Time::zero(),
+                    [sp, chain] { lane_script_packet(sp, chain * 100); });
+  }
+  s.sched.run();
+  const Scheduler::Stats& st = s.sched.stats();
+  EXPECT_EQ(st.scheduled, 578u);
+  EXPECT_EQ(st.fired, 569u);
+  EXPECT_EQ(st.cancelled, 9u);
+  EXPECT_EQ(st.rescheduled, 15u);
+  EXPECT_EQ(st.peak_queue_depth, 47u);
+  EXPECT_EQ(s.digest, 0x18aa21a725d11fccull);
+  EXPECT_EQ(s.sched.now(), Time::microseconds(138600));
 }
 
 TEST(Simulation, DerivedRngsDifferByLabel) {

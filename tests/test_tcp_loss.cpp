@@ -2,6 +2,8 @@
 // random loss (property sweep).
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "net/drop_tail.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
@@ -41,12 +43,12 @@ class LossyQueue final : public net::QueueDiscipline {
     return true;
   }
 
-  std::optional<net::Packet> do_dequeue(Time /*now*/) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
+  bool do_dequeue(Time, net::Packet& out) override {
+    if (q_.empty()) return false;
+    out = q_.front();
     q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    bytes_ -= out.size_bytes;
+    return true;
   }
 
  private:

@@ -3,6 +3,8 @@
 // development (pipe jam, go-back-N interactions).
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "net/drop_tail.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
@@ -32,12 +34,12 @@ class RangeDropQueue final : public net::QueueDiscipline {
     q_.push_back(std::move(p));
     return true;
   }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
+  bool do_dequeue(Time, net::Packet& out) override {
+    if (q_.empty()) return false;
+    out = q_.front();
     q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    bytes_ -= out.size_bytes;
+    return true;
   }
 
  private:
@@ -155,12 +157,12 @@ TEST(TcpSack, LostRetransmissionEventuallyRepaired) {
       q_.push_back(std::move(p));
       return true;
     }
-    std::optional<net::Packet> do_dequeue(Time) override {
-      if (q_.empty()) return std::nullopt;
-      net::Packet p = std::move(q_.front());
+    bool do_dequeue(Time, net::Packet& out) override {
+      if (q_.empty()) return false;
+      out = q_.front();
       q_.pop_front();
-      bytes_ -= p.size_bytes;
-      return p;
+      bytes_ -= out.size_bytes;
+      return true;
     }
 
    private:

@@ -4,6 +4,7 @@
 // pruning) checked against a byte-set reference model.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <random>
 #include <set>
@@ -242,12 +243,12 @@ class BlackholeAfterQueue final : public net::QueueDiscipline {
     q_.push_back(std::move(p));
     return true;
   }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
+  bool do_dequeue(Time, net::Packet& out) override {
+    if (q_.empty()) return false;
+    out = q_.front();
     q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    bytes_ -= out.size_bytes;
+    return true;
   }
 
  private:
@@ -282,12 +283,12 @@ class SeqOnceDropQueue final : public net::QueueDiscipline {
     q_.push_back(std::move(p));
     return true;
   }
-  std::optional<net::Packet> do_dequeue(Time) override {
-    if (q_.empty()) return std::nullopt;
-    net::Packet p = std::move(q_.front());
+  bool do_dequeue(Time, net::Packet& out) override {
+    if (q_.empty()) return false;
+    out = q_.front();
     q_.pop_front();
-    bytes_ -= p.size_bytes;
-    return p;
+    bytes_ -= out.size_bytes;
+    return true;
   }
 
  private:

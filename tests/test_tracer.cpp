@@ -59,7 +59,7 @@ struct PeriodicSource {
   void operator()() {
     link->send(make_packet(1250));
     if (sim->now() + gap < until) {
-      sim->scheduler().post_at(sim->now() + gap, PeriodicSource(*this));
+      sim->scheduler().schedule_at(sim->now() + gap, PeriodicSource(*this));
     }
   }
 };
@@ -110,7 +110,7 @@ TEST(Tracer, CoDelHeadDropsAreRecordedPerPacket) {
   link.set_sink([](Packet&&) {});
   BinaryTracer tracer;
   tracer.observe_link(link, 0);
-  sim.scheduler().post_at(
+  sim.scheduler().schedule_at(
       Time::zero(),
       PeriodicSource{&sim, &link, Time::milliseconds(5), Time::seconds(5)});
   sim.run();

@@ -9,9 +9,10 @@
 
 int main() {
   qoesim::net::PacketPool pool;
-  // error: calling acquire() requires holding '::qoesim::shard_plane'
-  const auto slot = pool.acquire(qoesim::net::Packet{});
-  (void)pool.release(slot);
+  // error: calling stage() requires holding '::qoesim::shard_plane'
+  pool.stage() = qoesim::net::Packet{};
+  const auto slot = pool.acquire();
+  pool.release(slot);
 
   qoesim::net::FlatTable<int> table;
   table.reserve(16);  // error: requires '::qoesim::shard_plane' as well

@@ -12,8 +12,9 @@ int main() {
   const qoesim::ShardGuard guard;  // statically acquires ::qoesim::shard_plane
 
   qoesim::net::PacketPool pool;
-  const auto slot = pool.acquire(qoesim::net::Packet{});
-  (void)pool.release(slot);
+  pool.stage() = qoesim::net::Packet{};
+  const auto slot = pool.acquire();
+  pool.release(slot);
 
   qoesim::net::FlatTable<int> table;
   table.reserve(16);
