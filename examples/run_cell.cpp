@@ -10,11 +10,23 @@
 // Flags (all optional): --testbed access|backbone, --workload <name>,
 // --direction downstream|upstream|bidirectional, --buffer <pkts>,
 // --queue droptail|red|codel|priority, --cc reno|bic|cubic|vegas|bbr,
-// --ecn (AQM marks + TCP negotiates ECN), --app voip|video|web|has|qos|all,
+// --ecn (AQM marks + TCP negotiates ECN), --app voip|video|web|qos|all,
 // --seed <n>, --scale <f>.
+//
+// Only the spellings above are accepted. An unknown flag or value, a
+// --buffer below 1, a negative or non-numeric --buffer/--seed, a --scale
+// outside (0, 1000], or a workload the testbed does not run exits 2 with
+// a message naming the flag and value. Without --cc, the background
+// traffic uses the testbed's default (reno on the backbone, cubic on the
+// access testbed).
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/video_codec.hpp"
 #include "core/experiment.hpp"
@@ -24,9 +36,23 @@ namespace {
 using namespace qoesim;
 using namespace qoesim::core;
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "error: %s\n(see the header of run_cell.cpp)\n", msg);
+[[noreturn]] void usage(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\n(see the header of run_cell.cpp)\n",
+               msg.c_str());
   std::exit(2);
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const std::string& v) {
+  usage("unknown " + flag + " value: " + v);
+}
+
+template <typename T>
+T parse_choice(const std::string& flag, const std::string& v,
+               std::initializer_list<std::pair<const char*, T>> choices) {
+  for (const auto& [name, value] : choices) {
+    if (v == name) return value;
+  }
+  bad_value(flag, v);
 }
 
 WorkloadType parse_workload(const std::string& s) {
@@ -37,7 +63,20 @@ WorkloadType parse_workload(const std::string& s) {
                  WorkloadType::kShortOverload, WorkloadType::kLong}) {
     if (s == to_string(w)) return w;
   }
-  usage("unknown workload");
+  bad_value("--workload", s);
+}
+
+// strtoull skips leading blanks and wraps a leading '-', so the value must
+// start with a digit and be consumed whole.
+std::uint64_t parse_uint(const std::string& flag, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+  if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    usage(flag + " expects a non-negative integer: " + v);
+  }
+  return n;
 }
 
 }  // namespace
@@ -50,53 +89,80 @@ int main(int argc, char** argv) {
   cfg.buffer_packets = 128;
   std::string app = "all";
   double scale = 1.0;
+  bool cc_given = false;
 
   for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
     auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage("missing flag value");
+      if (i + 1 >= argc) usage("missing value for " + flag);
       return argv[++i];
     };
-    const std::string flag = argv[i];
     if (flag == "--testbed") {
-      const auto v = next();
-      cfg.testbed = v == "backbone" ? TestbedType::kBackbone
-                                    : TestbedType::kAccess;
+      cfg.testbed = parse_choice<TestbedType>(
+          flag, next(),
+          {{"access", TestbedType::kAccess},
+           {"backbone", TestbedType::kBackbone}});
     } else if (flag == "--workload") {
       cfg.workload = parse_workload(next());
     } else if (flag == "--direction") {
-      const auto v = next();
-      cfg.direction = v == "upstream" ? CongestionDirection::kUpstream
-                      : v == "bidirectional"
-                          ? CongestionDirection::kBidirectional
-                          : CongestionDirection::kDownstream;
+      cfg.direction = parse_choice<CongestionDirection>(
+          flag, next(),
+          {{"downstream", CongestionDirection::kDownstream},
+           {"upstream", CongestionDirection::kUpstream},
+           {"bidirectional", CongestionDirection::kBidirectional}});
     } else if (flag == "--buffer") {
-      cfg.buffer_packets = static_cast<std::size_t>(std::atoll(next().c_str()));
+      const auto v = next();
+      const std::uint64_t n = parse_uint(flag, v);
+      if (n < 1) usage("--buffer must be >= 1: " + v);
+      cfg.buffer_packets = static_cast<std::size_t>(n);
     } else if (flag == "--queue") {
-      const auto v = next();
-      cfg.queue = v == "red"        ? net::QueueKind::kRed
-                  : v == "codel"    ? net::QueueKind::kCoDel
-                  : v == "priority" ? net::QueueKind::kPriority
-                                    : net::QueueKind::kDropTail;
+      cfg.queue = parse_choice<net::QueueKind>(
+          flag, next(),
+          {{"droptail", net::QueueKind::kDropTail},
+           {"red", net::QueueKind::kRed},
+           {"codel", net::QueueKind::kCoDel},
+           {"priority", net::QueueKind::kPriority}});
     } else if (flag == "--cc") {
-      const auto v = next();
-      cfg.tcp_cc = v == "reno"    ? tcp::CcKind::kReno
-                   : v == "bic"   ? tcp::CcKind::kBic
-                   : v == "vegas" ? tcp::CcKind::kVegas
-                   : v == "bbr"   ? tcp::CcKind::kBbr
-                                  : tcp::CcKind::kCubic;
+      cfg.tcp_cc = parse_choice<tcp::CcKind>(
+          flag, next(),
+          {{"reno", tcp::CcKind::kReno},
+           {"bic", tcp::CcKind::kBic},
+           {"cubic", tcp::CcKind::kCubic},
+           {"vegas", tcp::CcKind::kVegas},
+           {"bbr", tcp::CcKind::kBbr}});
+      cc_given = true;
     } else if (flag == "--ecn") {
       cfg.ecn = true;
     } else if (flag == "--app") {
       app = next();
+      if (app != "voip" && app != "video" && app != "web" && app != "qos" &&
+          app != "all") {
+        bad_value(flag, app);
+      }
     } else if (flag == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      cfg.seed = parse_uint(flag, next());
     } else if (flag == "--scale") {
-      scale = std::atof(next().c_str());
+      const auto v = next();
+      char* end = nullptr;
+      scale = std::strtod(v.c_str(), &end);
+      if (end == v.c_str() || *end != '\0') {
+        usage("--scale expects a number: " + v);
+      }
+      // !(x > 0) also rejects NaN; same range as the benches' --scale.
+      if (!(scale > 0.0) || scale > 1e3) {
+        usage("--scale must be in (0, 1000]: " + v);
+      }
     } else {
-      usage(("unknown flag: " + flag).c_str());
+      usage("unknown flag: " + flag);
     }
   }
-  if (cfg.tcp_cc == tcp::CcKind::kCubic) cfg.tcp_cc = default_cc(cfg.testbed);
+  if (!cc_given) cfg.tcp_cc = default_cc(cfg.testbed);
+  try {
+    (void)workload_spec(cfg.testbed, cfg.workload, cfg.direction);
+  } catch (const std::invalid_argument&) {
+    usage(std::string("workload ") + to_string(cfg.workload) +
+          " does not run on testbed " + to_string(cfg.testbed));
+  }
 
   std::printf("cell: %s queue=%s cc=%s\n\n", cfg.label().c_str(),
               net::to_string(cfg.queue), tcp::to_string(cfg.tcp_cc));
@@ -140,14 +206,6 @@ int main(int argc, char** argv) {
     std::printf("[web]   PLT %.2fs  MOS %.1f  (rtx med %.0f, timeouts %d)\n",
                 c.median_plt_s(), c.median_mos(),
                 c.retransmits.median_or(0.0), c.timeouts);
-  }
-  if (all || app == "has") {
-    const auto c = runner.run_http_video(cfg);
-    std::printf("[has]   MOS %.1f  bitrate %.1f Mbit/s  stalls %.1fs  "
-                "startup %.1fs  abandoned %d\n",
-                c.median_mos(), c.mean_bitrate_mbps.median_or(0.0),
-                c.stall_seconds.median_or(0.0),
-                c.startup_seconds.median_or(0.0), c.abandoned);
   }
   return 0;
 }

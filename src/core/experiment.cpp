@@ -6,11 +6,9 @@
 #include <memory>
 #include <vector>
 
-#include "apps/http_video.hpp"
 #include "apps/video_stream.hpp"
 #include "apps/voip.hpp"
 #include "apps/web.hpp"
-#include "qoe/http_video_qoe.hpp"
 #include "core/testbed.hpp"
 #include "core/workloads.hpp"
 #include "net/trace_binary.hpp"
@@ -287,54 +285,6 @@ WebCell ExperimentRunner::run_web(const ScenarioConfig& config) const {
   while (sim.now() < horizon &&
          cell.plt_s.count() < static_cast<std::size_t>(budget_.web_loads)) {
     sim.run_until(std::min(horizon, sim.now() + Time::seconds(1)));
-  }
-  (void)workload;
-  (void)server;
-  return cell;
-}
-
-
-HttpVideoCell ExperimentRunner::run_http_video(
-    const ScenarioConfig& config) const {
-  Testbed testbed(config, stats_);
-  Workload workload(testbed);
-
-  apps::HttpVideoConfig has;
-  tcp::TcpConfig probe_tcp;
-  probe_tcp.cc = config.tcp_cc;
-  probe_tcp.ecn = config.ecn;
-  apps::HttpVideoServer server(testbed.probe_server(), has, probe_tcp);
-
-  HttpVideoCell cell;
-  auto& sim = testbed.sim();
-  // Sessions run sequentially, like the repeated clips of Fig. 9; a
-  // session that has not finished within 3x its clip duration is
-  // abandoned (a real viewer would have left).
-  const Time session_budget = has.clip_duration * 3.0;
-  const int reps = std::max(1, budget_.video_reps);
-  Time at = budget_.warmup;
-  std::vector<std::unique_ptr<apps::HttpVideoSession>> sessions;
-  for (int i = 0; i < reps; ++i) {
-    auto session = std::make_unique<apps::HttpVideoSession>(
-        testbed.probe_client(), testbed.probe_server().id(), has, probe_tcp);
-    session->start(at);
-    apps::HttpVideoSession* raw = session.get();
-    sim.at(at + session_budget, [raw] {
-      if (!raw->finished()) raw->cancel();
-    });
-    at += session_budget + budget_.probe_gap;
-    sessions.push_back(std::move(session));
-  }
-  sim.run_until(at + Time::seconds(1));
-
-  for (const auto& session : sessions) {
-    const auto m = session->metrics();
-    const auto score = qoe::HttpVideoQoe::score(m, has);
-    cell.mos.add(score.mos);
-    cell.mean_bitrate_mbps.add(m.mean_bitrate_bps / 1e6);
-    cell.stall_seconds.add(m.total_stall_time.sec());
-    cell.startup_seconds.add(m.startup_delay.sec());
-    if (!m.completed) ++cell.abandoned;
   }
   (void)workload;
   (void)server;

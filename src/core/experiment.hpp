@@ -80,16 +80,6 @@ struct VideoCell {
   double median_mos() const;
 };
 
-/// HTTP adaptive streaming cell (extension, paper §10 future work).
-struct HttpVideoCell {
-  stats::Samples mos;
-  stats::Samples mean_bitrate_mbps;
-  stats::Samples stall_seconds;
-  stats::Samples startup_seconds;
-  int abandoned = 0;
-  double median_mos() const { return mos.median_or(1.0); }
-};
-
 /// Web cell (Fig. 10/11).
 struct WebCell {
   stats::Samples plt_s;
@@ -132,10 +122,6 @@ class ExperimentRunner {
 
   /// Sequential web page loads (client fetches from server).
   WebCell run_web(const ScenarioConfig& config) const;
-
-  /// HTTP adaptive streaming sessions (server -> client over TCP);
-  /// extension experiment for the paper's §10 HTTP-video remark.
-  HttpVideoCell run_http_video(const ScenarioConfig& config) const;
 
  private:
   ProbeBudget budget_;
