@@ -2,8 +2,8 @@
 //
 // The ROADMAP's conservative-PDES engine will run one scenario across
 // worker threads, sharded at link boundaries. Its prerequisite is that
-// every piece of per-shard state -- the scheduler arena, packet pools,
-// wire rings, the node demux, per-link RNG streams -- is provably touched
+// every piece of per-shard state -- the scheduler arena, in-flight and
+// queue rings, the node demux, per-link RNG streams -- is provably touched
 // only by the shard that owns it. This header makes that a compile-time
 // property using clang's thread-safety analysis (-Wthread-safety), the
 // same machinery Abseil and Chromium use for mutexes, applied to a
@@ -72,7 +72,7 @@
 #define QOESIM_NO_THREAD_SAFETY_ANALYSIS QOESIM_TSA(no_thread_safety_analysis)
 
 /// Marks a class whose instances belong to exactly one shard (scheduler
-/// arena, packet pool, wire ring, demux table, ...). Expands to nothing;
+/// arena, block rings, demux table, ...). Expands to nothing;
 /// qoesim_lint's shard-state check keys on the token and requires every
 /// mutable or shared-ownership member of such a class to carry a
 /// QOESIM_GUARDED_BY / QOESIM_PT_GUARDED_BY annotation.
@@ -200,7 +200,7 @@ class ShardAffinity {
 /// RAII epoch holder: statically acquires the shard capability, and (when
 /// given an affinity) dynamically adopts the calling thread for the
 /// scope. Tests driving shard-plane objects directly (FlatTable,
-/// PacketPool) construct one with no affinity to satisfy the analysis.
+/// BlockRing) construct one with no affinity to satisfy the analysis.
 class QOESIM_SCOPED_CAPABILITY ShardGuard {
  public:
   explicit ShardGuard(ShardAffinity* affinity = nullptr)

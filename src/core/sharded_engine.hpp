@@ -3,7 +3,7 @@
 //
 // One scenario, N worker threads: the topology is partitioned at link
 // boundaries (core/partition.hpp), each shard owns a full Simulation
-// (scheduler arena, packet pools, nodes -- nothing is shared), and the
+// (scheduler arena, link rings, nodes -- nothing is shared), and the
 // shards advance in lockstep epochs of one quantum, the minimum
 // crossing-eligible link delay. Within an epoch a shard runs its events
 // with Scheduler::run_before under its own ShardGuard; at the barrier

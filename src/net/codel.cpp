@@ -8,6 +8,9 @@ CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
     : QueueDiscipline(capacity_packets), params_(params) {}
 
 [[gnu::hot]] bool CoDelQueue::do_enqueue(Packet&& p, Time now) {
+  // Static-only bridge (see RedQueue::do_enqueue): Link::send asserted the
+  // shard upstream.
+  shard_plane.assert_held();
   if (q_.size() >= capacity_) {
     count_drop(p, now);
     return false;
@@ -25,6 +28,7 @@ Time CoDelQueue::control_law(Time t) const {
 }
 
 bool CoDelQueue::pop_head(Time now, bool& ok_sojourn, Packet& out) {
+  shard_plane.assert_held();
   if (q_.empty()) {
     first_above_time_ = Time::zero();
     ok_sojourn = true;

@@ -6,14 +6,16 @@
 // completes. This is where all queueing delay and packet loss in the
 // simulated testbeds arise (the paper's "bottleneck interface").
 //
-// In-flight packets (serializing or propagating) live in a per-link
-// PacketPool and are referenced by slot id from scheduler callbacks, so
-// steady-state forwarding performs no heap allocation. The queue dequeues
-// a packet straight into its slot and delivery hands the slot to the sink
-// by reference, so a hop copies a packet twice: into the queue and into
-// the slot. Packets on the wire
-// wait in a WireRing drained by a single delivery event per link instead of
-// one propagation event per packet (see packet_pool.hpp).
+// In-flight packets wait in one per-link FIFO of {packet, reserved seq,
+// deliver_at} entries (an InFlightRing, see packet_pool.hpp): propagating
+// packets in front, the serializing one at the back. Scheduler callbacks
+// capture only the link, steady-state forwarding performs no heap
+// allocation, and one delivery event per link drains the front instead of
+// one propagation event per packet. A packet offered to an idle link
+// passes its queue discipline straight into the FIFO
+// (QueueDiscipline::pass_idle; one copy for drop-tail); one offered to a
+// busy link is copied into the queue and, on dequeue, into the FIFO.
+// Delivery hands the front entry to the sink in place.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ namespace qoesim::net {
 
 class ShardMailbox;
 
-/// Shard-plane: a link's pool, ring, and queue discipline belong to the
+/// Shard-plane: a link's in-flight FIFO and queue discipline belong to the
 /// shard running its simulation. send() asserts the capability; the
 /// internal tx/delivery machinery requires it statically.
 class QOESIM_SHARD_PLANE Link {
@@ -42,18 +44,29 @@ class QOESIM_SHARD_PLANE Link {
   /// wire). Used by LinkMonitor for utilization accounting.
   using TxObserver = std::function<void(const Packet&, Time)>;
 
+  /// In-flight FIFO counters (for the zero-allocation forwarding tests).
+  struct PoolStats {
+    std::uint64_t acquired = 0;  ///< packets that started serializing
+    std::uint64_t released = 0;  ///< ...and have left the FIFO since
+    /// Blocks the FIFO has allocated. Constant in steady state.
+    std::uint64_t slab_growths = 0;
+    std::uint64_t peak_in_flight = 0;
+  };
+
   Link(Simulation& sim, std::string name, double rate_bps, Time prop_delay,
        std::unique_ptr<QueueDiscipline> queue);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Bind the receiving side (typically Node::receive of the peer).
+  /// Bind the receiving side (typically Node::receive of the peer). The
+  /// sink gets the packet in its in-flight entry and may send on this same
+  /// link: entries never move while the FIFO grows.
   void set_sink(DeliverFn sink) { sink_ = std::move(sink); }
   /// Cross-shard (mailbox) delivery: packets that finish serialization
-  /// are released from the pool and pushed into `mailbox` with their
-  /// arrival timestamp instead of riding the in-scheduler WireRing; the
-  /// destination shard's barrier drain materializes the delivery events.
+  /// leave the in-flight FIFO and are pushed into `mailbox` with their
+  /// arrival timestamp; the destination shard's barrier drain
+  /// materializes the delivery events.
   /// Takes precedence over the sink. rx observers do not fire on this
   /// path (the receive-side tap lives in the destination shard's inbox,
   /// which monitors don't hook; LinkMonitor needs only tx observers).
@@ -69,6 +82,11 @@ class QOESIM_SHARD_PLANE Link {
   void add_rx_observer(TxObserver obs) {
     rx_observers_.push_back(std::move(obs));
   }
+  /// From now on, add each packet's time spent waiting in the buffer
+  /// (seconds, excluding serialization) to `*stats` as it starts
+  /// serializing. LinkMonitor is the caller; a second, different `stats`
+  /// throws std::logic_error naming the link.
+  void set_queue_delay_stats(stats::RunningStats* stats);
 
   /// Offer a packet for transmission (enqueue; may drop).
   void send(Packet&& p);
@@ -88,37 +106,47 @@ class QOESIM_SHARD_PLANE Link {
   std::uint64_t delivered_packets() const { return delivered_packets_; }
   std::uint64_t delivered_bytes() const { return delivered_bytes_; }
 
-  /// Per-packet time spent waiting in the buffer (excludes serialization).
-  const stats::RunningStats& queue_delay() const { return queue_delay_; }
-
-  /// In-flight pool counters (for the zero-allocation forwarding tests).
-  const PacketPool::Stats& pool_stats() const { return pool_.stats(); }
+  PoolStats pool_stats() const;
   /// Packets currently riding the propagation delay.
-  std::size_t wire_depth() const { return wire_.size(); }
+  std::size_t wire_depth() const {
+    return in_flight_.size() - (busy_ ? 1 : 0);
+  }
 
  private:
-  void maybe_start_tx() QOESIM_REQUIRES_SHARD;
-  void on_tx_complete(PacketPool::SlotId slot) QOESIM_REQUIRES_SHARD;
-  void arm_delivery(const WireRing::Entry& entry) QOESIM_REQUIRES_SHARD;
-  void drain_wire() QOESIM_REQUIRES_SHARD;
+  void start_tx() QOESIM_REQUIRES_SHARD;
+  void on_tx_complete() QOESIM_REQUIRES_SHARD;
+  void arm_delivery(const InFlight& entry) QOESIM_REQUIRES_SHARD;
+  void deliver_front() QOESIM_REQUIRES_SHARD;
 
+  // Consecutive packets on a link mostly share a size (full segments, or
+  // bare ACKs), so the last serialization time is remembered instead of
+  // recomputed (same value either way).
+  Time tx_time(std::uint32_t bytes) {
+    if (bytes != memo_bytes_) {
+      memo_bytes_ = bytes;
+      memo_tx_ = serialization_time(bytes);
+    }
+    return memo_tx_;
+  }
+
+  // What a hop touches comes first, so it shares the first cache lines.
   Simulation& sim_;
-  std::string name_;
-  double rate_bps_;
-  Time prop_delay_;
   std::unique_ptr<QueueDiscipline> queue_;
-  DeliverFn sink_;
-  ShardMailbox* mailbox_ = nullptr;
-  std::vector<TxObserver> tx_observers_;
-  std::vector<TxObserver> rx_observers_;
-
-  PacketPool pool_;  // packets serializing or on the wire
-  WireRing wire_;    // FIFO of propagating packets
-
-  bool busy_ = false;
+  InFlightRing in_flight_;
+  bool busy_ = false;  // the back entry of in_flight_ is serializing
+  std::uint32_t memo_bytes_ = 0;
+  Time memo_tx_;  // == serialization_time(memo_bytes_)
+  Time prop_delay_;
+  double rate_bps_;
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t delivered_bytes_ = 0;
-  stats::RunningStats queue_delay_;
+  std::uint64_t peak_in_flight_ = 0;
+  ShardMailbox* mailbox_ = nullptr;
+  stats::RunningStats* queue_delay_ = nullptr;
+  DeliverFn sink_;
+  std::vector<TxObserver> tx_observers_;
+  std::vector<TxObserver> rx_observers_;
+  std::string name_;
 };
 
 }  // namespace qoesim::net

@@ -1,7 +1,7 @@
 // qoesim -- cross-shard packet mailboxes for the conservative-PDES engine.
 //
 // A link whose propagation delay clears the engine's lookahead floor uses
-// mailbox delivery instead of the in-scheduler WireRing: the tx side
+// mailbox delivery instead of its own in-flight FIFO: the tx side
 // (producer shard) appends timestamped records into a ShardMailbox during
 // its epoch, and at every barrier the destination shard drains all of its
 // inbound mailboxes in one seq-ordered merge, admitting each record into
@@ -30,6 +30,7 @@
 
 #include "core/annotations.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -63,7 +64,7 @@ class QOESIM_CROSS_SHARD_CHANNEL ShardMailbox {
   /// FIFO counter preserves the link's transmission order across drains.
   void push(Time deliver_at, Packet&& p) {
     // drain_into() clears without shrinking, so the batch stops growing
-    // once it reaches its high-water mark (same policy as WireRing).
+    // once it reaches its high-water mark.
     batch_.push_back(
         MailboxRecord{deliver_at, 0, next_link_seq_++, std::move(p)});
   }
@@ -87,12 +88,12 @@ class QOESIM_CROSS_SHARD_CHANNEL ShardMailbox {
 };
 
 /// Receive-side ring of one mailbox link, owned by the destination shard.
-/// Admitted records wait here with their reserved sequence numbers; like
-/// the WireRing, one armed delivery event per link suffices because
-/// records are admitted in merge order (non-decreasing (when, seq) per
-/// link), and each delivery re-arms the next entry at its own reserved
-/// seq, so every packet keeps its exact FIFO position among
-/// same-timestamp events.
+/// Admitted records wait here with their reserved sequence numbers, in
+/// the same InFlightRing a Link keeps its in-flight packets in; like a
+/// link, one armed delivery event per inbox suffices because records are
+/// admitted in merge order (non-decreasing (when, seq) per link), and
+/// each delivery re-arms the next entry at its own reserved seq, so every
+/// packet keeps its exact FIFO position among same-timestamp events.
 class QOESIM_SHARD_PLANE MailboxInbox {
  public:
   MailboxInbox(Simulation& sim, Node& dest) : sim_(sim), dest_(dest) {}
@@ -107,23 +108,15 @@ class QOESIM_SHARD_PLANE MailboxInbox {
   void admit(Time when, std::uint64_t seq, Packet&& p) QOESIM_REQUIRES_SHARD;
 
   /// Records admitted but not yet delivered.
-  std::size_t depth() const { return size_; }
+  std::size_t depth() const { return ring_.size(); }
 
  private:
-  struct Entry {
-    Time when;
-    std::uint64_t seq = 0;
-    Packet packet;
-  };
-
-  void arm(Time when, std::uint64_t seq) QOESIM_REQUIRES_SHARD;
+  void arm(const InFlight& entry) QOESIM_REQUIRES_SHARD;
   void deliver_front() QOESIM_REQUIRES_SHARD;
 
   Simulation& sim_;
   Node& dest_;
-  std::vector<Entry> buf_;  // power-of-two ring, grown geometrically
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  InFlightRing ring_;
 };
 
 }  // namespace qoesim::net

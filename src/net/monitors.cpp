@@ -4,6 +4,7 @@ namespace qoesim::net {
 
 LinkMonitor::LinkMonitor(Link& link, Time bin_width)
     : link_(link), bytes_per_bin_(bin_width) {
+  link_.set_queue_delay_stats(&queue_delay_);  // throws on a second monitor
   link_.add_tx_observer([this](const Packet& p, Time now) {
     ++tx_packets_;
     tx_bytes_ += p.size_bytes;

@@ -1,37 +1,31 @@
-// qoesim -- in-flight packet slab pool and wire ring.
+// qoesim -- block rings: the FIFO storage of every packet a link holds.
 //
-// PacketPool holds the packets a link currently has "in flight" (one being
-// serialized plus any riding the propagation delay). Slots are recycled
-// through a free list, mirroring the scheduler's event arena: steady-state
-// forwarding performs zero heap allocations per packet, because a slot and
-// the scheduler events referencing it (by 4-byte SlotId, well inside a
-// packet-lane closure) are reused as soon as the packet is delivered. A
-// link fills a slot in place -- the queue discipline dequeues straight
-// into stage() -- and delivers the packet from it, so a packet is copied
-// into the pool once and never out of it. The slab only grows when more
-// packets are simultaneously in flight than ever before on this link,
-// which is bounded by 1 + ceil(prop_delay / serialization_time) -- growth
-// events are counted in Stats::slab_growths so tests can assert the steady
-// state allocates nothing.
+// A link holds a packet in one of two FIFOs. Packets waiting in the
+// buffer sit in their queue discipline's PacketRing. Packets in flight --
+// the one being serialized and those riding the propagation delay -- sit
+// in the link's InFlightRing as {packet, reserved seq, deliver_at}
+// entries; a MailboxInbox keeps admitted cross-shard packets in the same
+// ring. Both are one template, BlockRing.
 //
-// WireRing is the companion FIFO of (slot, deliver_at) entries for packets
-// that finished serialization and are propagating. Because a link's
-// propagation delay is constant and serialization completions are ordered,
-// deliver_at is non-decreasing, so one delivery event draining the ring
-// front replaces a scheduler event per packet.
+// A BlockRing stores its entries in blocks: the live ones, front to back,
+// in a power-of-two ring of block pointers, the others on a stack of
+// spares. A block the FIFO leaves becomes a spare and is refilled in place
+// when the back needs a new block, so a ring that has seen its peak
+// occupancy stores and releases entries without touching the heap
+// (std::deque, by contrast, frees and reallocates a chunk every few
+// entries as the FIFO advances). Growth adds a block, or doubles the
+// pointer ring, and never moves an entry: a reference to a queued entry
+// stays valid while the ring grows. A link relies on that, because it
+// hands its sink the front in-flight entry in place, and the sink may
+// re-enter Link::send on the same link, which stages a new entry at the
+// back (see README "Packet lifecycle on a link").
 //
-// PacketRing is the buffered segment's counterpart: the FIFO storage every
-// queue discipline keeps its waiting packets in. Like WireRing it is a
-// power-of-two ring that only grows -- here a ring of fixed-size packet
-// blocks that are recycled in place -- so a queue that has seen its peak
-// stores and releases packets without touching the heap, unlike
-// std::deque, which frees and reallocates a chunk every two packets as
-// the FIFO advances.
+// The first block holds one entry and each new block is as large as all
+// earlier ones together, up to kMaxBlock entries, so a lightly used ring
+// costs one entry of storage and a deep one still walks long blocks.
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,173 +38,146 @@
 
 namespace qoesim::net {
 
-/// Shard-plane: a pool belongs to one Link and is only touched from the
-/// owning shard's event loop; the mutating operations require the shard
-/// capability (Link's entry points assert it; see core/annotations.hpp).
-class QOESIM_SHARD_PLANE PacketPool {
+/// Shard-plane: a ring belongs to one link or queue and is touched only
+/// from the owning shard's event loop, so its mutators require the shard
+/// capability (callers assert it; see core/annotations.hpp). Const
+/// inspection does not.
+template <class T>
+class QOESIM_SHARD_PLANE BlockRing {
  public:
-  using SlotId = std::uint32_t;
-  static constexpr SlotId kNil = 0xffffffffu;
+  /// Largest block, in entries.
+  static constexpr std::uint32_t kMaxBlock = 64;
 
-  struct Stats {
-    std::uint64_t acquired = 0;
-    std::uint64_t released = 0;
-    /// Number of slots ever put to use: each growth is the first acquire
-    /// of a slot whose storage had to be created (the only operation that
-    /// can touch the heap). Constant in steady state.
-    std::uint64_t slab_growths = 0;
-    std::uint64_t peak_in_flight = 0;
-  };
-
-  /// The free slot the next acquire() takes, for the caller to fill in
-  /// place. Creates the slot's storage if none is free, but a slot counts
-  /// (acquired, slab_growths, peak_in_flight) only once acquired: a slot
-  /// staged for a dequeue that yields nothing simply stays free.
-  Packet& stage() QOESIM_REQUIRES_SHARD {
-    if (free_.empty()) add_slot();
-    return at(free_.back());
-  }
-
-  /// Take the slot stage() returned, now holding a packet.
-  SlotId acquire() QOESIM_REQUIRES_SHARD {
-    const SlotId slot = free_.back();
-    free_.pop_back();
-    ++stats_.acquired;
-    // Slots are first acquired in id order, so the ids below slab_growths
-    // are exactly the slots used before.
-    if (slot == stats_.slab_growths) ++stats_.slab_growths;
-    stats_.peak_in_flight =
-        std::max<std::uint64_t>(stats_.peak_in_flight, in_flight());
-    return slot;
-  }
-
-  /// Return `slot` to the free list; its packet is no longer referenced.
-  void release(SlotId slot) QOESIM_REQUIRES_SHARD {
-    ++stats_.released;
-    free_.push_back(slot);  // capacity reserved in add_slot(): no allocation
-  }
-
-  /// References returned here stay valid across stage()/acquire()/
-  /// release(): growth adds a chunk and never moves existing slots. A Link
-  /// hands such a reference to its observers and sink while they could
-  /// reenter Link::send (and thus stage()).
-  Packet& at(SlotId slot) QOESIM_REQUIRES_SHARD {
-    // Slot s lives at v = s + kFirstChunk: chunk k holds the v with bit
-    // width kFirstChunkBits + k + 1, so one bit scan finds the chunk and
-    // clearing v's top bit the offset.
-    const std::uint32_t v = slot + kFirstChunk;
-    const unsigned top = static_cast<unsigned>(std::bit_width(v)) - 1;
-    return chunks_[top - kFirstChunkBits][v ^ (1u << top)];
-  }
-
-  std::size_t in_flight() const {
-    return static_cast<std::size_t>(stats_.acquired - stats_.released);
-  }
-  const Stats& stats() const { return stats_; }
-
- private:
-  // Chunk k holds kFirstChunk << k slots. The first chunk is small, so a
-  // lightly used link (one packet in flight at a time) keeps two slots.
-  static constexpr unsigned kFirstChunkBits = 1;
-  static constexpr std::uint32_t kFirstChunk = 1u << kFirstChunkBits;
-  static constexpr unsigned kMaxSlotBits = 24;  // as the scheduler's arena
-  static constexpr unsigned kChunks = kMaxSlotBits - kFirstChunkBits + 1;
-
-  void add_slot() QOESIM_REQUIRES_SHARD;
-
-  std::array<std::unique_ptr<Packet[]>, kChunks> chunks_;
-  std::uint32_t slot_count_ = 0;  // slots with storage, ids [0, count)
-  std::vector<SlotId> free_;      // stack of free slot ids
-  Stats stats_;
-};
-
-/// FIFO ring buffer of packets on the wire. Capacity grows by doubling
-/// (never shrinks), so like the pool it stops allocating once the link has
-/// seen its peak in-flight population. Shard-plane like the pool: mutation
-/// requires the shard capability, const inspection does not.
-class QOESIM_SHARD_PLANE WireRing {
- public:
-  struct Entry {
-    PacketPool::SlotId slot = PacketPool::kNil;
-    /// FIFO position reserved (Scheduler::allocate_seq) when the packet
-    /// finished serialization: the delivery event fires with this seq, so
-    /// same-timestamp ties resolve exactly as if the packet had scheduled
-    /// its own propagation event there.
-    std::uint64_t seq = 0;
-    Time deliver_at;
-  };
+  BlockRing() = default;
+  BlockRing(const BlockRing&) = delete;
+  BlockRing& operator=(const BlockRing&) = delete;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  /// True when stage() would have to allocate.
+  bool full() const {
+    return tail_ == tail_end_ && (spare_.empty() || live_ == ring_.size());
+  }
+  /// Blocks allocated so far. Constant once the ring has seen its peak
+  /// occupancy.
+  std::uint64_t growths() const { return growths_; }
 
-  const Entry& front() const { return buf_[head_]; }
+  const T& front() const { return *head_; }
+  T& front() QOESIM_REQUIRES_SHARD { return *head_; }
+  /// The newest entry. Precondition: !empty().
+  T& back() QOESIM_REQUIRES_SHARD { return tail_[-1]; }
 
-  void push(Entry e) QOESIM_REQUIRES_SHARD;
-  void pop() QOESIM_REQUIRES_SHARD;
-
- private:
-  std::vector<Entry> buf_;  // power-of-two capacity circular buffer
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
-/// FIFO of packets waiting in a queue discipline. Packets live in
-/// fixed-size blocks held by a power-of-two ring of block pointers; a
-/// drained block stays in its ring position and is refilled when the FIFO
-/// wraps around to it, so blocks are allocated only while the queue
-/// reaches a new peak occupancy and never freed before the ring is. Growth
-/// doubles the pointer ring and never moves a queued packet, and memory
-/// tracks the peak occupancy in whole blocks rather than a power-of-two
-/// rounding of it. Owned by a queue discipline, which is reached only
-/// through its Link's shard-asserting entry points, so the ring itself
-/// carries no shard annotations.
-class PacketRing {
- public:
-  static constexpr std::size_t kBlockPackets = 4;
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  const Packet& front() const { return (*front_)[head_]; }
-
-  /// Append `p` at the back; takes the next block when the back one is
-  /// full (allocating it only on the ring's first pass over that slot).
-  void push(Packet&& p) {
-    if (tail_ == kBlockPackets) next_block();
-    (*back_)[tail_++] = std::move(p);
+  /// The slot the next commit() appends, for the caller to fill in place.
+  /// Takes a block if the back one is full; an uncommitted slot is simply
+  /// handed out again.
+  T& stage() QOESIM_REQUIRES_SHARD {
+    if (tail_ == tail_end_) next_block();
+    return *tail_;
+  }
+  /// Append the slot stage() returned.
+  void commit() QOESIM_REQUIRES_SHARD {
+    ++tail_;
     ++size_;
   }
+  void push(T&& v) QOESIM_REQUIRES_SHARD {
+    stage() = std::move(v);
+    commit();
+  }
 
-  /// Move the front packet into `out` and remove it. Precondition:
-  /// !empty().
-  void pop(Packet& out) {
-    out = std::move((*front_)[head_++]);
+  /// Remove the front entry. Precondition: !empty().
+  void pop() QOESIM_REQUIRES_SHARD {
     if (--size_ == 0) {
-      // Empty: the next push restarts at the top of this same block.
-      blocks_live_ = 0;
-      head_ = 0;
-      tail_ = kBlockPackets;
-    } else if (head_ == kBlockPackets) {
-      first_ = (first_ + 1) & (blocks_.size() - 1);
-      --blocks_live_;
-      front_ = blocks_[first_].get();
-      head_ = 0;
+      // Empty: the next entry restarts at the top of the front block. A
+      // block an uncommitted stage() moved on to goes back to the spares.
+      while (live_ > 1) retire((first_ + --live_) & (ring_.size() - 1));
+      head_ = tail_ = front_begin_;
+      tail_end_ = head_end_;
+    } else if (++head_ == head_end_) {
+      retire(first_);
+      first_ = (first_ + 1) & (ring_.size() - 1);
+      --live_;
+      const Block& b = ring_[first_];
+      head_ = front_begin_ = b.slots.get();
+      head_end_ = head_ + b.capacity;
+    }
+  }
+  /// Move the front entry into `out` and remove it. Precondition:
+  /// !empty().
+  void pop(T& out) QOESIM_REQUIRES_SHARD {
+    out = std::move(*head_);
+    pop();
+  }
+
+ private:
+  struct Block {
+    std::unique_ptr<T[]> slots;
+    std::uint32_t capacity = 0;
+  };
+
+  // A block that holds no entry leaves the ring for the spares (whose
+  // capacity next_block reserved, so this does not allocate).
+  void retire(std::size_t pos) QOESIM_REQUIRES_SHARD {
+    spare_.push_back(std::move(ring_[pos]));
+  }
+
+  // The back block is full: continue in a spare block, or allocate one.
+  [[gnu::noinline]] void next_block() QOESIM_REQUIRES_SHARD {
+    if (live_ == ring_.size()) {
+      // Every ring position holds a live block: double the pointer ring,
+      // unrolling the live blocks into [0, live_). Entries stay put.
+      std::vector<Block> bigger(ring_.empty() ? 1 : ring_.size() * 2);
+      for (std::size_t i = 0; i < live_; ++i)
+        bigger[i] = std::move(ring_[(first_ + i) & (ring_.size() - 1)]);
+      ring_ = std::move(bigger);
+      first_ = 0;
+    }
+    Block& b = ring_[(first_ + live_) & (ring_.size() - 1)];
+    if (spare_.empty()) {
+      b.capacity = std::clamp<std::uint32_t>(capacity_, 1, kMaxBlock);
+      b.slots = std::make_unique<T[]>(b.capacity);
+      capacity_ += b.capacity;
+      spare_.reserve(++growths_);
+    } else {
+      b = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    tail_ = b.slots.get();
+    tail_end_ = tail_ + b.capacity;
+    if (live_++ == 0) {
+      head_ = front_begin_ = tail_;
+      head_end_ = tail_end_;
     }
   }
 
- private:
-  using Block = std::array<Packet, kBlockPackets>;
-
-  void next_block();
-
-  std::vector<std::unique_ptr<Block>> blocks_;  // power-of-two ring
-  std::size_t first_ = 0;        // ring index of the front block
-  std::size_t blocks_live_ = 0;  // blocks holding queued packets
-  Block* front_ = nullptr;
-  Block* back_ = nullptr;
-  std::size_t head_ = 0;              // front packet's index in *front_
-  std::size_t tail_ = kBlockPackets;  // one past the back packet in *back_
+  T* head_ = nullptr;         // front entry
+  T* head_end_ = nullptr;     // end of the front block
+  T* front_begin_ = nullptr;  // start of the front block
+  T* tail_ = nullptr;         // one past the back entry
+  T* tail_end_ = nullptr;     // end of the back block
   std::size_t size_ = 0;
+  std::size_t first_ = 0;  // ring index of the front block
+  std::size_t live_ = 0;   // blocks from the front block to the back block
+  std::vector<Block> ring_;   // power-of-two ring of live blocks
+  std::vector<Block> spare_;  // allocated blocks holding no entry
+  std::uint32_t capacity_ = 0;  // entries in all allocated blocks
+  std::uint32_t growths_ = 0;
 };
+
+/// FIFO of packets waiting in a queue discipline.
+using PacketRing = BlockRing<Packet>;
+
+/// A packet a link is serializing or propagating, or one a MailboxInbox
+/// has admitted.
+struct InFlight {
+  Packet packet;
+  /// FIFO position reserved (Scheduler::allocate_seq) when the packet
+  /// finished serialization: its delivery event fires with this seq, so
+  /// same-timestamp ties resolve exactly as if the packet had scheduled
+  /// its own propagation event there.
+  std::uint64_t seq = 0;
+  Time deliver_at;
+};
+
+using InFlightRing = BlockRing<InFlight>;
 
 }  // namespace qoesim::net

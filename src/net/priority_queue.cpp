@@ -24,6 +24,9 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
 }
 
 [[gnu::hot]] bool PriorityQueue::do_enqueue(Packet&& p, Time now) {
+  // Static-only bridge (see RedQueue::do_enqueue): Link::send asserted the
+  // shard upstream.
+  shard_plane.assert_held();
   if (is_high_priority(p)) {
     if (high_.size() >= high_capacity_) {
       ++high_drops_;
@@ -45,6 +48,7 @@ PriorityQueue::PriorityQueue(std::size_t capacity_packets,
 }
 
 [[gnu::hot]] bool PriorityQueue::do_dequeue(Time /*now*/, Packet& out) {
+  shard_plane.assert_held();
   PacketRing* source = nullptr;
   if (!high_.empty()) {
     source = &high_;

@@ -28,6 +28,11 @@ namespace qoesim::net {
   return got;
 }
 
+bool QueueDiscipline::pass_idle(Packet&& p, Time now, Packet& out) {
+  enqueue(std::move(p), now);
+  return dequeue(now, out);
+}
+
 void QueueDiscipline::set_tracer(BinaryTracer* tracer, std::uint16_t point) {
   if (tracer_ != nullptr && tracer_ != tracer) {
     throw std::logic_error("queue " + name() +

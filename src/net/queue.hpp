@@ -60,6 +60,13 @@ class QueueDiscipline {
   /// decay, CoDel leaves its dropping state).
   bool dequeue(Time now, Packet& out);
 
+  /// Offer a packet to a link whose transmitter is idle and take the next
+  /// packet to transmit into `out`: exactly enqueue(p, now) followed by
+  /// dequeue(now, out), which is what the default does. A discipline may
+  /// override it to skip its own storage when that gives the same `out`,
+  /// the same stats and the same queue state (DropTailQueue does).
+  virtual bool pass_idle(Packet&& p, Time now, Packet& out);
+
   virtual std::size_t packet_count() const = 0;
   virtual std::size_t byte_count() const = 0;
   bool empty() const { return packet_count() == 0; }

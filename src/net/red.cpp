@@ -85,6 +85,7 @@ void RedQueue::set_drain_rate(double bps) {
 }
 
 [[gnu::hot]] bool RedQueue::do_dequeue(Time now, Packet& out) {
+  shard_plane.assert_held();  // static-only bridge, as in do_enqueue
   if (q_.empty()) {
     // The transmitter found the queue empty: an idle period starts (ns-2
     // does the same on an empty dequeue).

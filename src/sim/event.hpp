@@ -167,7 +167,7 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// Reserve a FIFO position without scheduling anything. Events that
   /// share a timestamp fire in sequence order, so a component can fix an
   /// event's tie-breaking position now and materialize the event later
-  /// with post_at_seq. The link wire ring uses this to collapse
+  /// with post_at_seq. A link's in-flight FIFO uses this to collapse
   /// per-packet propagation events into one delivery event per link
   /// while keeping event order exactly as if each packet had scheduled
   /// its own event.

@@ -1,6 +1,5 @@
 // Unit tests for link serialization, propagation and buffering behaviour,
-// including the in-flight packet pool and wire-ring delivery path, and a
-// runtime check that steady-state forwarding through every queue
+// including the in-flight FIFO and its delivery path, and a runtime check that steady-state forwarding through every queue
 // discipline performs no heap allocation.
 #include "net/link.hpp"
 
@@ -8,11 +7,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
 #include "net/drop_tail.hpp"
+#include "net/monitors.hpp"
 #include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
 
@@ -79,11 +80,12 @@ TEST_F(LinkTest, BufferOverflowDropsExcess) {
 TEST_F(LinkTest, QueueDelayMeasured) {
   Link link(sim, "l", 1e6, Time::zero(), std::make_unique<DropTailQueue>(10));
   link.set_sink([](Packet&&) {});
+  LinkMonitor monitor(link);
   for (int i = 0; i < 3; ++i) link.send(make_packet(1250));
   sim.run();
   // First packet waits 0, second 10 ms, third 20 ms -> mean 10 ms.
-  EXPECT_NEAR(link.queue_delay().mean(), 0.010, 1e-9);
-  EXPECT_EQ(link.queue_delay().count(), 3u);
+  EXPECT_NEAR(monitor.queue_delay().mean(), 0.010, 1e-9);
+  EXPECT_EQ(monitor.queue_delay().count(), 3u);
 }
 
 TEST_F(LinkTest, DeliveredCounters) {
@@ -187,7 +189,7 @@ TEST_F(LinkTest, RxObserverAndSinkSeeTheDeliveredPacket) {
 
 TEST_F(LinkTest, PoolBalancesAfterDrainAndEmptyDequeuesAreNotCounted) {
   // Every transmission ends in a dequeue that finds the queue empty; the
-  // slot staged for it must not count as acquired or as slab growth.
+  // FIFO slot staged for it must not count as acquired.
   Link link(sim, "l", 1e9, Time::milliseconds(1),
             std::make_unique<DropTailQueue>(100));
   std::uint64_t delivered = 0;
@@ -195,16 +197,16 @@ TEST_F(LinkTest, PoolBalancesAfterDrainAndEmptyDequeuesAreNotCounted) {
   for (int i = 0; i < 40; ++i) link.send(make_packet(1500));
   sim.run();
   EXPECT_EQ(delivered, 40u);
-  const PacketPool::Stats& pool = link.pool_stats();
+  const Link::PoolStats pool = link.pool_stats();
   EXPECT_EQ(pool.acquired, 40u);
   EXPECT_EQ(pool.released, pool.acquired);
   // All 40 packets were in flight at once (12 us serialization against
-  // 1 ms propagation), each in a slot of its own.
+  // 1 ms propagation), in FIFO blocks of 1, 1, 2, 4, 8, 16 and 32 entries.
   EXPECT_EQ(pool.peak_in_flight, 40u);
-  EXPECT_EQ(pool.slab_growths, 40u);
+  EXPECT_EQ(pool.slab_growths, 7u);
 }
 
-TEST_F(LinkTest, WireRingPreservesFifoOrderWithManyInFlight) {
+TEST_F(LinkTest, InFlightFifoPreservesOrderWithManyInFlight) {
   // 12 us serialization vs 10 ms propagation: ~800 packets ride the wire
   // concurrently, all funneled through the single delivery event.
   Link link(sim, "l", 1e9, Time::milliseconds(10),
@@ -222,7 +224,7 @@ TEST_F(LinkTest, WireRingPreservesFifoOrderWithManyInFlight) {
     link.send(std::move(p));
   }
   sim.run();
-  ASSERT_EQ(uids, sent);  // exact FIFO, no reordering across the ring
+  ASSERT_EQ(uids, sent);  // exact FIFO, no reordering across the blocks
   const Time ser = link.serialization_time(1500);
   for (int i = 0; i < 500; ++i) {
     // Delivery i happens exactly at (i+1) serializations + propagation.
@@ -251,22 +253,65 @@ TEST_F(LinkTest, SingleDeliveryEventPerLink) {
 
 TEST_F(LinkTest, SteadyStateForwardingDoesNotGrowThePool) {
   // A fixed packet population recirculates through the link; after the
-  // first lap the pool and ring must stop allocating: slot reuse covers
-  // every subsequent packet-hop.
+  // first lap the in-flight FIFO must stop allocating: its blocks are
+  // refilled in place for every subsequent packet-hop.
   Link link(sim, "l", 1e9, Time::milliseconds(1),
             std::make_unique<DropTailQueue>(256));
   link.set_sink([&](Packet&& p) { link.send(std::move(p)); });
   for (int i = 0; i < 64; ++i) link.send(make_packet(1500));
   sim.run_until(Time::milliseconds(100));  // warmup: reach peak in-flight
-  const PacketPool::Stats warm = link.pool_stats();
+  const Link::PoolStats warm = link.pool_stats();
   EXPECT_GT(warm.acquired, warm.slab_growths);  // reuse already happening
   sim.run_until(Time::seconds(1));
-  const PacketPool::Stats steady = link.pool_stats();
+  const Link::PoolStats steady = link.pool_stats();
   EXPECT_EQ(steady.slab_growths, warm.slab_growths)
-      << "steady-state forwarding must not allocate pool slots";
+      << "steady-state forwarding must not grow the in-flight FIFO";
   EXPECT_GT(steady.acquired, warm.acquired + 10000u);
   EXPECT_EQ(steady.acquired - steady.released, link.wire_depth() +
                 (link.transmitting() ? 1u : 0u));
+}
+
+TEST_F(LinkTest, SinkResendingIntoAFullFifoGrowsItWithoutMovingEntries) {
+  // Eight packets serialize back to back (12 us each) and then all ride
+  // the 1 ms propagation delay, filling the FIFO's first blocks (1, 1, 2
+  // and 4 entries). At the first delivery the transmitter is idle, so the
+  // sink's re-send passes straight into the FIFO, which must grow while
+  // the sink still reads its packet in the front entry. A ring that moved
+  // entries on growth would hand the queue a dangling packet here.
+  Link link(sim, "l", 1e9, Time::milliseconds(1),
+            std::make_unique<DropTailQueue>(16));
+  constexpr int kPackets = 8;
+  constexpr int kLaps = 5;
+  std::map<std::uint64_t, int> arrivals;
+  int damaged = 0;
+  int grew_in_sink = 0;
+  link.set_sink([&](Packet&& p) {
+    if (p.flow != p.uid * 7 || p.app.seq != p.uid + 3 || p.dst != 9 ||
+        p.size_bytes != 1500 || p.app.kind != AppKind::kVoip) {
+      ++damaged;
+    }
+    if (++arrivals[p.uid] == kLaps) return;
+    const std::uint64_t before = link.pool_stats().slab_growths;
+    link.send(std::move(p));
+    if (link.pool_stats().slab_growths != before) ++grew_in_sink;
+  });
+  for (int i = 0; i < kPackets; ++i) {
+    Packet p = make_packet(1500);
+    p.flow = p.uid * 7;
+    p.app.seq = static_cast<std::uint32_t>(p.uid + 3);
+    p.app.kind = AppKind::kVoip;
+    p.dst = 9;
+    link.send(std::move(p));
+  }
+  sim.run();
+  EXPECT_EQ(grew_in_sink, 1);
+  EXPECT_EQ(damaged, 0);
+  ASSERT_EQ(arrivals.size(), static_cast<std::size_t>(kPackets));
+  for (const auto& [uid, laps] : arrivals) EXPECT_EQ(laps, kLaps) << uid;
+  const Link::PoolStats pool = link.pool_stats();
+  EXPECT_EQ(pool.acquired, static_cast<std::uint64_t>(kPackets * kLaps));
+  EXPECT_EQ(pool.released, pool.acquired);
+  EXPECT_EQ(pool.slab_growths, 5u);
 }
 
 // Open-loop source: one packet every `gap`, alternating UDP and TCP so a
@@ -292,7 +337,7 @@ TEST(LinkAllocation, SteadyForwardingWithStandingQueueAllocatesNothing) {
   // A source offers ~1.33x the link rate, so every discipline holds a
   // standing queue (drop-tail at capacity; RED, CoDel and the priority
   // bands at their own equilibria) and drops. After a warm-up in which
-  // the queue ring, pool, wire ring and scheduler heaps reach their peak
+  // the queue ring, in-flight FIFO and scheduler heaps reach their peak
   // sizes, forwarding must not touch the heap at all.
   for (const QueueKind kind : {QueueKind::kDropTail, QueueKind::kRed,
                                QueueKind::kCoDel, QueueKind::kPriority}) {
@@ -350,7 +395,7 @@ TEST_F(LinkTest, PoolSlotReusedAfterDelivery) {
   link.send(make_packet(1250));
   sim.run();
   EXPECT_EQ(delivered, 2);
-  // Sequential packets share one slot: the slab grew exactly once.
+  // Sequential packets share one FIFO entry: storage grew exactly once.
   EXPECT_EQ(link.pool_stats().slab_growths, 1u);
   EXPECT_EQ(link.pool_stats().acquired, 2u);
   EXPECT_EQ(link.pool_stats().released, 2u);
@@ -365,7 +410,7 @@ TEST_F(LinkTest, NoSinkReleasesSlotsImmediately) {
   EXPECT_EQ(link.delivered_packets(), 50u);
   EXPECT_EQ(link.wire_depth(), 0u);
   EXPECT_EQ(link.pool_stats().acquired, link.pool_stats().released);
-  // Without a sink nothing rides the wire, so one slot suffices.
+  // Without a sink nothing rides the wire, so one entry suffices.
   EXPECT_EQ(link.pool_stats().peak_in_flight, 1u);
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/drop_tail.hpp"
 #include "sim/simulation.hpp"
 
@@ -82,6 +85,40 @@ TEST(LinkMonitor, MeanQueueDelay) {
   sim.run();
   // Waits: 0 ms and 10 ms -> mean 5 ms.
   EXPECT_NEAR(mon.mean_queue_delay_s(), 0.005, 1e-9);
+}
+
+TEST(LinkMonitor, QueueDelayCountsFromAttachmentOn) {
+  Simulation sim;
+  Link link(sim, "l", 1e6, Time::zero(), std::make_unique<DropTailQueue>(10));
+  link.set_sink([](Packet&&) {});
+  // Starts serializing before the monitor exists: not counted.
+  link.send(make_packet(1250));
+  LinkMonitor mon(link);
+  // These two wait 10 ms and 20 ms.
+  for (int i = 0; i < 2; ++i) link.send(make_packet(1250));
+  sim.run();
+  EXPECT_EQ(mon.queue_delay().count(), 2u);
+  EXPECT_NEAR(mon.mean_queue_delay_s(), 0.015, 1e-9);
+}
+
+TEST(LinkMonitor, SecondMonitorOnOneLinkThrowsNamingTheLink) {
+  Simulation sim;
+  Link link(sim, "bottleneck-down", 1e6, Time::zero(),
+            std::make_unique<DropTailQueue>(10));
+  link.set_sink([](Packet&&) {});
+  LinkMonitor first(link);
+  std::string error;
+  try {
+    LinkMonitor second(link);
+  } catch (const std::logic_error& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("bottleneck-down"), std::string::npos) << error;
+  // The first monitor keeps the link's queue delay.
+  for (int i = 0; i < 2; ++i) link.send(make_packet(1250));
+  sim.run();
+  EXPECT_EQ(first.queue_delay().count(), 2u);
+  EXPECT_EQ(first.tx_packets(), 2u);
 }
 
 }  // namespace

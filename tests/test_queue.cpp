@@ -178,7 +178,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
   // Random bursts of pushes and pops against a std::deque reference: the
   // FIFO crosses block boundaries, wraps around the block ring, doubles
-  // it while wrapped, drains to empty and restarts mid-ring.
+  // it while wrapped, recycles spare blocks, drains to empty and restarts
+  // mid-ring.
+  const ShardGuard guard;  // the ring's mutators require the shard
   std::mt19937_64 rng(7);
   PacketRing ring;
   std::deque<std::uint64_t> ref;

@@ -207,6 +207,98 @@ TEST_P(DequeueContract, SeededScriptMatchesPinnedSequenceAndStats) {
   EXPECT_EQ(got.stats.max_packets_seen, want.stats.max_packets_seen);
 }
 
+// A packet whose padding is zero, like every packet it is copied into
+// below, so two packets compare equal bytewise exactly when every field
+// does.
+Packet blank_packet() {
+  Packet p;
+  std::memset(static_cast<void*>(&p), 0, sizeof(Packet));
+  return p;
+}
+
+void expect_same_stats(const QueueStats& got, const QueueStats& want) {
+  EXPECT_EQ(got.offered, want.offered);
+  EXPECT_EQ(got.enqueued, want.enqueued);
+  EXPECT_EQ(got.dequeued, want.dequeued);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.marked, want.marked);
+  EXPECT_EQ(got.bytes_offered, want.bytes_offered);
+  EXPECT_EQ(got.bytes_dropped, want.bytes_dropped);
+  EXPECT_EQ(got.max_packets_seen, want.max_packets_seen);
+}
+
+TEST_P(DequeueContract, PassIdleMatchesEnqueueThenDequeue) {
+  // Twin queues under the same seed: one takes each offer to the idle
+  // queue through pass_idle, the other through enqueue and dequeue. Both
+  // then see the same burst and drain, so AQM state (RED's average and
+  // idle decay, CoDel's dropping state) moves between idle offers, and
+  // any difference pass_idle left behind shows in what comes out next.
+  for (const bool ecn : {false, true}) {
+    SCOPED_TRACE(ecn ? "ECN on" : "ECN off");
+    auto passed = make_queue(GetParam(), 8, /*seed=*/4242);
+    auto reference = make_queue(GetParam(), 8, /*seed=*/4242);
+    for (QueueDiscipline* q : {passed.get(), reference.get()}) {
+      q->set_drain_rate(12e6);
+      q->set_ecn_marking(ecn);
+    }
+    RandomStream rng(99);
+    Time now = Time::zero();
+    std::uint64_t uid = 1;
+    const auto offer = [&](bool idle) {
+      Packet in = blank_packet();
+      in.uid = uid++;
+      in.flow = in.uid * 3;
+      in.src = 1;
+      in.dst = 2;
+      in.size_bytes = static_cast<std::uint32_t>(rng.uniform(40.0, 1500.0));
+      in.proto = rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
+      in.ecn = rng.bernoulli(0.5) ? Ecn::kEct0 : Ecn::kNotEct;
+      in.tcp.seq = in.uid * 1000;
+      in.app.seq = static_cast<std::uint32_t>(in.uid);
+      Packet a = blank_packet();
+      Packet b = blank_packet();
+      std::memcpy(static_cast<void*>(&a), &in, sizeof(Packet));
+      std::memcpy(static_cast<void*>(&b), &in, sizeof(Packet));
+      if (!idle) {
+        passed->enqueue(std::move(a), now);
+        reference->enqueue(std::move(b), now);
+        return;
+      }
+      Packet out_passed = blank_packet();
+      Packet out_reference = blank_packet();
+      const bool got = passed->pass_idle(std::move(a), now, out_passed);
+      reference->enqueue(std::move(b), now);
+      EXPECT_EQ(got, reference->dequeue(now, out_reference));
+      EXPECT_EQ(std::memcmp(&out_passed, &out_reference, sizeof(Packet)), 0)
+          << "uid " << in.uid;
+    };
+    for (int round = 0; round < 200; ++round) {
+      ASSERT_TRUE(passed->empty());
+      offer(/*idle=*/true);
+      expect_same_stats(passed->stats(), reference->stats());
+      // A burst behind it, drained at the link's pace.
+      const int burst = static_cast<int>(rng.uniform(0.0, 12.0));
+      for (int i = 0; i < burst; ++i) offer(/*idle=*/false);
+      for (;;) {
+        now += Time::microseconds(rng.uniform(100.0, 1500.0));
+        Packet out_passed = blank_packet();
+        Packet out_reference = blank_packet();
+        const bool got = passed->dequeue(now, out_passed);
+        ASSERT_EQ(got, reference->dequeue(now, out_reference));
+        EXPECT_EQ(std::memcmp(&out_passed, &out_reference, sizeof(Packet)), 0);
+        if (!got) break;
+      }
+      expect_same_stats(passed->stats(), reference->stats());
+      now += Time::microseconds(rng.uniform(0.0, 30000.0));
+    }
+    EXPECT_GT(passed->stats().dequeued, 200u);
+    if (GetParam() != QueueKind::kPriority) {
+      // The AQMs both drop (and, with ECN, mark) within the bursts.
+      EXPECT_GT(passed->stats().dropped + passed->stats().marked, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDisciplines, DequeueContract,
                          ::testing::Values(QueueKind::kDropTail,
                                            QueueKind::kRed, QueueKind::kCoDel,

@@ -8,11 +8,11 @@
 #include "net/packet_pool.hpp"
 
 int main() {
-  qoesim::net::PacketPool pool;
+  qoesim::net::InFlightRing ring;
   // error: calling stage() requires holding '::qoesim::shard_plane'
-  pool.stage() = qoesim::net::Packet{};
-  const auto slot = pool.acquire();
-  pool.release(slot);
+  ring.stage() = qoesim::net::InFlight{};
+  ring.commit();
+  ring.pop();
 
   qoesim::net::FlatTable<int> table;
   table.reserve(16);  // error: requires '::qoesim::shard_plane' as well

@@ -11,10 +11,10 @@
 int main() {
   const qoesim::ShardGuard guard;  // statically acquires ::qoesim::shard_plane
 
-  qoesim::net::PacketPool pool;
-  pool.stage() = qoesim::net::Packet{};
-  const auto slot = pool.acquire();
-  pool.release(slot);
+  qoesim::net::InFlightRing ring;
+  ring.stage() = qoesim::net::InFlight{};
+  ring.commit();
+  ring.pop();
 
   qoesim::net::FlatTable<int> table;
   table.reserve(16);
