@@ -23,7 +23,8 @@ CoDelQueue::CoDelQueue(std::size_t capacity_packets, CoDelParams params)
 Time CoDelQueue::control_law(Time t) const {
   // drop_count_ is >= 1 whenever the dropping state is active; the guard
   // keeps a stray call at 0 from dividing by sqrt(0).
-  const double count = drop_count_ == 0 ? 1.0 : static_cast<double>(drop_count_);
+  const double count =
+      drop_count_ == 0 ? 1.0 : static_cast<double>(drop_count_);
   return t + params_.interval / std::sqrt(count);
 }
 

@@ -2,6 +2,7 @@
 
 #include "net/mailbox.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -39,6 +40,14 @@ void Link::set_queue_delay_stats(stats::RunningStats* stats) {
   queue_delay_ = stats;
 }
 
+void Link::set_mailbox(ShardMailbox* mailbox) {
+  if (wire_depth() != 0) {
+    throw std::logic_error("Link " + name_ +
+                           ": mailbox set while packets are propagating");
+  }
+  mailbox_ = mailbox;
+}
+
 Link::PoolStats Link::pool_stats() const {
   PoolStats s;
   s.acquired = delivered_packets_ + (busy_ ? 1 : 0);
@@ -74,7 +83,8 @@ Link::PoolStats Link::pool_stats() const {
   // The serializing packet is the FIFO's back entry, so the completion
   // event captures only the link; it is never moved or cancelled, so it
   // rides the scheduler's packet lane.
-  sim_.scheduler().post_at(sim_.now() + tx_time(next.size_bytes), [this] {
+  const Time tx = serialization_time(next.size_bytes);
+  sim_.scheduler().post_at(sim_.now() + tx, [this] {
     sim_.shard().assert_held();  // event fires inside the owning epoch
     on_tx_complete();
   });
@@ -88,10 +98,12 @@ Link::PoolStats Link::pool_stats() const {
   if (mailbox_ != nullptr) {
     // Cross-shard path: the packet leaves this shard now and becomes a
     // value-type record until the destination shard's barrier drain
-    // admits it. It was the FIFO's only entry. The mailbox's FIFO counter
-    // preserves this link's tx order; the delivery timestamp is fixed
-    // here so queueing and serialization dynamics stay identical to the
-    // in-shard path.
+    // admits it. It is the FIFO's only entry (set_mailbox refuses a link
+    // with packets propagating). The mailbox's FIFO counter preserves
+    // this link's tx order; the delivery timestamp is fixed here so
+    // queueing and serialization dynamics stay identical to the in-shard
+    // path.
+    assert(in_flight_.size() == 1);
     mailbox_->push(sim_.now() + prop_delay_, std::move(done.packet));
     in_flight_.pop();
   } else if (sink_) {

@@ -70,7 +70,9 @@ class QOESIM_SHARD_PLANE Link {
   /// Takes precedence over the sink. rx observers do not fire on this
   /// path (the receive-side tap lives in the destination shard's inbox,
   /// which monitors don't hook; LinkMonitor needs only tx observers).
-  void set_mailbox(ShardMailbox* mailbox) { mailbox_ = mailbox; }
+  /// Throws std::logic_error, naming the link, while packets are riding
+  /// the propagation delay: they would never reach either receiver.
+  void set_mailbox(ShardMailbox* mailbox);
   /// Register an additional transmission observer (multiple supported:
   /// monitors and tracers can coexist).
   void add_tx_observer(TxObserver obs) {
@@ -118,24 +120,11 @@ class QOESIM_SHARD_PLANE Link {
   void arm_delivery(const InFlight& entry) QOESIM_REQUIRES_SHARD;
   void deliver_front() QOESIM_REQUIRES_SHARD;
 
-  // Consecutive packets on a link mostly share a size (full segments, or
-  // bare ACKs), so the last serialization time is remembered instead of
-  // recomputed (same value either way).
-  Time tx_time(std::uint32_t bytes) {
-    if (bytes != memo_bytes_) {
-      memo_bytes_ = bytes;
-      memo_tx_ = serialization_time(bytes);
-    }
-    return memo_tx_;
-  }
-
   // What a hop touches comes first, so it shares the first cache lines.
   Simulation& sim_;
   std::unique_ptr<QueueDiscipline> queue_;
   InFlightRing in_flight_;
   bool busy_ = false;  // the back entry of in_flight_ is serializing
-  std::uint32_t memo_bytes_ = 0;
-  Time memo_tx_;  // == serialization_time(memo_bytes_)
   Time prop_delay_;
   double rate_bps_;
   std::uint64_t delivered_packets_ = 0;

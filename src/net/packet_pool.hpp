@@ -10,15 +10,21 @@
 // A BlockRing stores its entries in blocks: the live ones, front to back,
 // in a power-of-two ring of block pointers, the others on a stack of
 // spares. A block the FIFO leaves becomes a spare and is refilled in place
-// when the back needs a new block, so a ring that has seen its peak
-// occupancy stores and releases entries without touching the heap
-// (std::deque, by contrast, frees and reallocates a chunk every few
-// entries as the FIFO advances). Growth adds a block, or doubles the
-// pointer ring, and never moves an entry: a reference to a queued entry
-// stays valid while the ring grows. A link relies on that, because it
-// hands its sink the front in-flight entry in place, and the sink may
-// re-enter Link::send on the same link, which stages a new entry at the
-// back (see README "Packet lifecycle on a link").
+// when the back needs a new block (std::deque, by contrast, frees and
+// reallocates a chunk every few entries as the FIFO advances). Growth adds
+// a block, or doubles the pointer ring, and never moves an entry: a
+// reference to a queued entry stays valid while the ring grows. A link
+// relies on that, because it hands its sink the front in-flight entry in
+// place, and the sink may re-enter Link::send on the same link, which
+// stages a new entry at the back (see README "Packet lifecycle on a
+// link").
+//
+// Because entries never move, the slots the front block has already
+// handed out stay unusable until that block drains. A ring that has seen
+// its peak occupancy may therefore still need one more block; it stops
+// allocating once its capacity is at least the peak plus its largest
+// block less one (then the back always finds a spare). At a fixed peak,
+// growth stops after a few blocks.
 //
 // The first block holds one entry and each new block is as large as all
 // earlier ones together, up to kMaxBlock entries, so a lightly used ring
@@ -58,9 +64,11 @@ class QOESIM_SHARD_PLANE BlockRing {
   bool full() const {
     return tail_ == tail_end_ && (spare_.empty() || live_ == ring_.size());
   }
-  /// Blocks allocated so far. Constant once the ring has seen its peak
-  /// occupancy.
+  /// Blocks allocated so far. Constant once capacity() is at least the
+  /// peak occupancy plus the largest block less one.
   std::uint64_t growths() const { return growths_; }
+  /// Entries in all allocated blocks, live and spare.
+  std::size_t capacity() const { return capacity_; }
 
   const T& front() const { return *head_; }
   T& front() QOESIM_REQUIRES_SHARD { return *head_; }

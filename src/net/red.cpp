@@ -24,8 +24,8 @@ void RedQueue::set_drain_rate(double bps) {
   // period the estimate decays as if m empty-queue samples had been taken
   // (Floyd & Jacobson eq. 3) instead of freezing at its last busy value.
   if (idle_) {
-    const double m =
-        (now - idle_since_).sec() / std::max(1e-12, params_.mean_pkt_time.sec());
+    const double m = (now - idle_since_).sec() /
+                     std::max(1e-12, params_.mean_pkt_time.sec());
     if (m > 0.0) avg_ *= std::pow(1.0 - params_.weight, m);
     // The decay above accounts for the idle time up to `now`; if this
     // arrival is dropped the queue stays empty and the idle period simply
@@ -36,8 +36,10 @@ void RedQueue::set_drain_rate(double bps) {
            params_.weight * static_cast<double>(q_.size());
   }
 
-  const double min_th = params_.min_th_fraction * static_cast<double>(capacity_);
-  const double max_th = params_.max_th_fraction * static_cast<double>(capacity_);
+  const double min_th =
+      params_.min_th_fraction * static_cast<double>(capacity_);
+  const double max_th =
+      params_.max_th_fraction * static_cast<double>(capacity_);
 
   bool drop = false;
   // Forced drops are never converted to marks: a full buffer cannot admit,

@@ -1,6 +1,7 @@
 // Unit tests for link serialization, propagation and buffering behaviour,
-// including the in-flight FIFO and its delivery path, and a runtime check that steady-state forwarding through every queue
-// discipline performs no heap allocation.
+// including the in-flight FIFO and its delivery path, and a runtime check
+// that steady-state forwarding through every queue discipline performs no
+// heap allocation.
 #include "net/link.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "alloc_counter.hpp"
 #include "net/drop_tail.hpp"
+#include "net/mailbox.hpp"
 #include "net/monitors.hpp"
 #include "net/trace_binary.hpp"
 #include "sim/simulation.hpp"
@@ -64,6 +66,30 @@ TEST_F(LinkTest, BackToBackPacketsQueueBehindTransmitter) {
   EXPECT_EQ(deliveries[0], Time::milliseconds(10));
   EXPECT_EQ(deliveries[1], Time::milliseconds(20));
   EXPECT_EQ(deliveries[2], Time::milliseconds(30));
+}
+
+TEST_F(LinkTest, MailboxCannotBeSetWhilePacketsPropagate) {
+  // A mailbox link keeps only the serializing packet in its FIFO, so a
+  // packet already riding the propagation delay would be lost.
+  Link link(sim, "cross-east", 1e6, Time::milliseconds(10),
+            std::make_unique<DropTailQueue>(10));
+  link.set_sink([](Packet&&) {});
+  ShardMailbox mailbox;
+  link.send(make_packet(1250));
+  sim.run_until(Time::milliseconds(5));  // still serializing
+  EXPECT_EQ(link.wire_depth(), 0u);
+  sim.run_until(Time::milliseconds(15));  // now propagating
+  ASSERT_EQ(link.wire_depth(), 1u);
+  std::string error;
+  try {
+    link.set_mailbox(&mailbox);
+  } catch (const std::logic_error& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("cross-east"), std::string::npos) << error;
+  sim.run();
+  EXPECT_EQ(link.wire_depth(), 0u);
+  link.set_mailbox(&mailbox);  // an idle link accepts it
 }
 
 TEST_F(LinkTest, BufferOverflowDropsExcess) {

@@ -213,5 +213,39 @@ TEST(PacketRing, MatchesDequeAcrossBlockBoundariesWrapAndGrowth) {
   EXPECT_TRUE(ring.empty());
 }
 
+TEST(PacketRing, GrowthAtAFixedPeakStopsOnceCapacityCoversPeakPlusBlock) {
+  // Entries never move, so the front block's popped slots stay unusable
+  // until it drains: a ring holding exactly its earlier peak may need one
+  // more block. Growth must stop once capacity reaches the peak plus the
+  // largest block less one.
+  const ShardGuard guard;
+  PacketRing ring;
+  Packet out;
+  for (int i = 0; i < 8; ++i) ring.push(make_packet());
+  EXPECT_EQ(ring.growths(), 4u);  // blocks of 1, 1, 2, 4
+  EXPECT_EQ(ring.capacity(), 8u);
+  // Two pops drain the 1-entry blocks, which the next pushes refill.
+  for (int i = 0; i < 2; ++i) {
+    ring.pop(out);
+    ring.push(make_packet());
+  }
+  EXPECT_EQ(ring.growths(), 4u);
+  // Half of the 2-entry front block is consumed: at 8 entries again, the
+  // back finds no spare and takes a new block of 8.
+  ring.pop(out);
+  ring.push(make_packet());
+  EXPECT_EQ(ring.size(), 8u);
+  EXPECT_EQ(ring.growths(), 5u);
+  EXPECT_EQ(ring.capacity(), 16u);  // >= 8 + 8 - 1: no further growth
+
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 20000; ++round) {
+    const auto k = static_cast<int>(rng() % 9);  // 0..8 pops, then pushes
+    for (int i = 0; i < k && !ring.empty(); ++i) ring.pop(out);
+    while (ring.size() < 8) ring.push(make_packet());
+  }
+  EXPECT_EQ(ring.growths(), 5u);
+}
+
 }  // namespace
 }  // namespace qoesim::net
