@@ -9,13 +9,9 @@
 //   --quick       CI smoke mode: quarter probe budget on top of --scale
 //                 (micro-benches interpret it as their own fast preset)
 //
-// The engine-scale benches (bench_pdes, bench_megaflows) also take
-//   --shards <n>  PDES engine shards within one scenario, 0..64 (default
-//                 0 = the bench's own default; see parse_shards). Stdout
-//                 is byte-identical across values -- the --shards
-//                 determinism gate in CI pins it.
-// Figure and table benches run every cell on one Simulation and reject
-// --shards like any other unknown flag.
+// bench_pdes also takes --shards (see its header). Figure and table
+// benches run every cell on one Simulation and reject --shards like any
+// other unknown flag.
 //
 // Flags are validated: non-numeric or non-positive values and unknown
 // flags abort with a usage message instead of being silently ignored.
@@ -251,25 +247,6 @@ struct BenchOptions {
   /// Sweep pool for grid evaluation, sized by --jobs.
   core::SweepRunner sweep() const { return core::SweepRunner(jobs); }
 };
-
-/// The --shards value of an engine-scale bench, which passes "--shards"
-/// to BenchOptions::parse as an extra value flag and calls this after it
-/// (parse has then already rejected unknown flags and missing values).
-/// 0 = the bench's default. Exits 2 on a value outside [0, 64].
-inline unsigned parse_shards(int argc, char** argv) {
-  unsigned shards = 0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") != 0) continue;
-    const char* text = argv[++i];
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || value > 64)
-      usage_error(argv[0], "--shards expects an integer in [0, 64]", text,
-                  {"--shards"});
-    shards = static_cast<unsigned>(value);
-  }
-  return shards;
-}
 
 inline void emit(const stats::HeatmapTable& table, const BenchOptions& opt) {
   std::fputs(table.render(opt.color).c_str(), stdout);

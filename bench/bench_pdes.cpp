@@ -21,13 +21,16 @@
 //   stderr -- per-run timing ("[pdes] shards=N ... events/s") and the
 //             curve's speedup figures.
 //
-// --shards N runs the scenario once on N shards; --shards 0 (default)
-// runs the full {1, 2, 4, 8} curve and exits 1 if any run's table or
-// combined scheduler counters deviate from the single-shard run -- the
-// in-process version of the CI gate.
+// --shards N (0..64; anything else exits 2 with a usage line) runs the
+// scenario once on N shards; --shards 0 (default) runs the full
+// {1, 2, 4, 8} curve and exits 1 if any run's table or combined
+// scheduler counters deviate from the single-shard run -- the in-process
+// version of the CI gate.
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,6 +86,17 @@ net::LinkSpec link_spec(double rate_bps, Time delay, std::size_t buffer) {
   return s;
 }
 
+/// "p<pod><suffix>[<index>]", appended in place: GCC 12 flags the
+/// chained-temporary spelling ("p" + std::to_string(pod) + ...) with a
+/// false -Wrestrict.
+std::string pod_name(unsigned pod, const char* suffix = "", int index = -1) {
+  std::string name = "p";
+  name += std::to_string(pod);
+  name += suffix;
+  if (index >= 0) name += std::to_string(index);
+  return name;
+}
+
 std::string fmt(const char* format, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), format, value);
@@ -93,6 +107,25 @@ bool same_stats(const Scheduler::Stats& a, const Scheduler::Stats& b) {
   return a.scheduled == b.scheduled && a.fired == b.fired &&
          a.cancelled == b.cancelled && a.rescheduled == b.rescheduled &&
          a.peak_queue_depth == b.peak_queue_depth;
+}
+
+/// The --shards value. main passes "--shards" to BenchOptions::parse as
+/// an extra value flag and calls this after it (parse has then already
+/// rejected unknown flags and missing values). 0 = the {1, 2, 4, 8}
+/// curve. Exits 2 on a value outside [0, 64].
+unsigned parse_shards(int argc, char** argv) {
+  unsigned shards = 0;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--shards") != 0) continue;
+    const char* text = argv[++i];
+    char* end = nullptr;
+    const unsigned long value = std::strtoul(text, &end, 10);
+    if (end == text || *end != '\0' || value > 64)
+      bench::usage_error(argv[0], "--shards expects an integer in [0, 64]",
+                         text, {"--shards"});
+    shards = static_cast<unsigned>(value);
+  }
+  return shards;
 }
 
 RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
@@ -109,15 +142,14 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
   // ---- topology ----------------------------------------------------------
   std::array<PodNodes, kPods> pods_n;
   for (unsigned p = 0; p < kPods; ++p) {
-    const std::string prefix = "p" + std::to_string(p) + ".";
     // The gateway forwards every pod flow twice (in + out), so it gets
     // the lion's share of the pod's events; the weight only matters for
     // asymmetric pin experiments, the 8 symmetric pods balance anyway.
-    pods_n[p].gw = engine.add_node(prefix + "gw", 2.0);
+    pods_n[p].gw = engine.add_node(pod_name(p, ".gw"), 2.0);
     for (unsigned j = 0; j < kServersPerPod; ++j)
-      pods_n[p].srv[j] = engine.add_node(prefix + "s" + std::to_string(j));
+      pods_n[p].srv[j] = engine.add_node(pod_name(p, ".s", j));
     for (unsigned j = 0; j < kClientsPerPod; ++j)
-      pods_n[p].cli[j] = engine.add_node(prefix + "c" + std::to_string(j));
+      pods_n[p].cli[j] = engine.add_node(pod_name(p, ".c", j));
   }
 
   const net::LinkSpec srv_link = link_spec(1e9, Time::microseconds(200), 512);
@@ -236,7 +268,7 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
     loss /= kClientsPerPod;
     qdelay /= kClientsPerPod;
     const apps::VoipCall& voip = *traffic[p].voip;
-    table.add_row({"p" + std::to_string(p), fmt("%.3f", util),
+    table.add_row({pod_name(p), fmt("%.3f", util),
                    fmt("%.2f", 100.0 * loss), fmt("%.2f", 1e3 * qdelay),
                    fmt("%.1f", static_cast<double>(ring_mon[p]->tx_bytes()) /
                                    1e6),
@@ -255,7 +287,7 @@ RunResult run_once(unsigned shards, const bench::BenchOptions& opt) {
 
 int main(int argc, char** argv) {
   const auto opt = qoesim::bench::BenchOptions::parse(argc, argv, {"--shards"});
-  const unsigned shards = qoesim::bench::parse_shards(argc, argv);
+  const unsigned shards = parse_shards(argc, argv);
   std::vector<unsigned> counts;
   if (shards != 0) {
     counts = {shards};

@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the simulator substrate itself:
-// event scheduling, queue operations, link forwarding, and end-to-end TCP
-// simulation throughput (events/second), so performance regressions in the
-// core are visible independent of the figure benches.
+// queue operations, link forwarding, node demux, flow churn and end-to-end
+// TCP simulation throughput (events/second), so performance regressions in
+// the core are visible independent of the figure benches. Raw scheduler
+// throughput (bulk schedule+fire, schedule+cancel) is bench_scheduler's.
 //
 // `--quick` (used by CI as a forwarding smoke step) maps to a filter on the
 // forwarding/queue benchmarks with a short measurement time.
@@ -23,35 +24,6 @@
 
 namespace qoesim {
 namespace {
-
-void BM_SchedulerScheduleFire(benchmark::State& state) {
-  for (auto _ : state) {
-    Scheduler sched;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sched.schedule_at(Time::microseconds(i), [&fired] { ++fired; });
-    }
-    sched.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerScheduleFire);
-
-void BM_SchedulerCancel(benchmark::State& state) {
-  for (auto _ : state) {
-    Scheduler sched;
-    std::vector<EventHandle> handles;
-    handles.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-      handles.push_back(sched.schedule_at(Time::microseconds(i), [] {}));
-    }
-    for (auto& h : handles) h.cancel();
-    sched.run();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerCancel);
 
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   net::DropTailQueue q(256);
@@ -166,7 +138,9 @@ void BM_Demux(benchmark::State& state) {
     if (++next == flows) next = 0;
     host.receive(std::move(p));
   }
-  if (*delivered != state.iterations()) state.SkipWithError("demux miss");
+  if (*delivered != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("demux miss");
+  }
   state.SetItemsProcessed(static_cast<int64_t>(*delivered));
 }
 BENCHMARK(BM_Demux)->Arg(64)->Arg(1024)->Arg(4096);

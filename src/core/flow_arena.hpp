@@ -142,11 +142,6 @@ class FlowArena {
   };
   Ref ref() const { return Ref(core_); }
 
-  /// Pre-grow the hot pool so `flows` concurrent flows (of `slot_bytes`
-  /// each, as observed after the first allocation) fit without slab
-  /// growth mid-run. No-op before the first allocation fixes the size.
-  void prewarm(std::size_t flows) { core_->prewarm(flows); }
-
   const Stats& stats() const { return core_->stats; }
 
   // ---- allocator plumbing ---------------------------------------------------
@@ -319,13 +314,6 @@ class FlowArena {
       // valid here. Move out first so m is quiescent during the callback.
       std::shared_ptr<void> ref = std::move(m.ref);
       ref.reset();
-    }
-
-    void prewarm(std::size_t flows) {
-      if (slot_bytes_ == 0) return;
-      while (free_.size() < flows) {
-        grow_hot(slabs_.empty() ? 64 : slabs_.back().nslots * 2);
-      }
     }
 
     void* cold_alloc(std::size_t bytes) {

@@ -18,7 +18,6 @@
 // Node::deliver_local); generations survive growth rehashes.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -170,68 +169,6 @@ class QOESIM_SHARD_PLANE FlatTable {
     if (s == nullptr || s->gen != gen) return false;
     erase_slot(s);
     return true;
-  }
-
-  /// Probe-length distribution over the live table: how far each entry
-  /// sits from its home slot (length 1 = home hit). A pure read over the
-  /// slot array -- deterministic, so benches may print it. The histogram's
-  /// last bucket aggregates lengths >= 8.
-  struct ProbeStats {
-    std::uint64_t entries = 0;
-    std::uint64_t max_len = 0;
-    double mean_len = 0.0;
-    std::uint64_t histogram[8] = {};
-  };
-  ProbeStats probe_stats() const {
-    ProbeStats ps;
-    if (slots_.empty()) return ps;
-    const std::size_t mask = slots_.size() - 1;
-    std::uint64_t total = 0;
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      if (slots_[j].empty()) continue;
-      const std::size_t home = demux_hash(slots_[j].key) & mask;
-      const std::uint64_t len = ((j - home) & mask) + 1;
-      ++ps.entries;
-      total += len;
-      if (len > ps.max_len) ps.max_len = len;
-      ++ps.histogram[len >= 8 ? 7 : len - 1];
-    }
-    if (ps.entries > 0) {
-      ps.mean_len =
-          static_cast<double>(total) / static_cast<double>(ps.entries);
-    }
-    return ps;
-  }
-
-  /// Wall-clock microbench: one full find-equivalent probe per live
-  /// entry, visiting the slot array in a strided (cache-hostile) order so
-  /// the figure reflects random flow arrival, not a linear sweep. Returns
-  /// {probes, total_ns}; bench_megaflows divides for its ns/lookup curve.
-  /// A pure read like probe_stats() -- but the timing is wall-clock, so
-  /// the result belongs on stderr, never in figure stdout.
-  std::pair<std::uint64_t, std::uint64_t> timed_find_walk() const {
-    if (slots_.empty()) return {0, 0};
-    const std::size_t mask = slots_.size() - 1;
-    // Any odd stride is coprime with the power-of-two capacity, so the
-    // walk visits every slot exactly once.
-    const std::size_t stride = 0x9e3779b97f4a7c15ull | 1ull;
-    std::uint64_t probes = 0;
-    std::uint64_t checksum = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::size_t j = 0;
-    for (std::size_t n = 0; n < slots_.size(); ++n, j = (j + stride) & mask) {
-      if (slots_[j].empty()) continue;
-      const DemuxKey key = slots_[j].key;
-      std::size_t i = demux_hash(key) & mask;
-      while (!(slots_[i].key == key)) i = (i + 1) & mask;
-      checksum += slots_[i].gen;  // keep the probe loop observable
-      ++probes;
-    }
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    (void)checksum;
-    return {probes, static_cast<std::uint64_t>(ns)};
   }
 
  private:

@@ -18,10 +18,10 @@
 // Determinism contract (see README "sharding contract"): mailbox
 // discipline is decided by link delay alone (delay >= lookahead floor),
 // never by whether the link currently crosses a shard boundary, so the
-// event schedule -- and therefore the output of the engine-scale benches
-// (bench_pdes, bench_megaflows) -- is byte-identical at every shard
-// count, including 1. Figure cells never reach this path: ExperimentRunner
-// builds them on one Simulation, not through core::ShardedEngine.
+// event schedule -- and therefore bench_pdes' output -- is
+// byte-identical at every shard count, including 1. Figure cells never
+// reach this path: ExperimentRunner builds them on one Simulation, not
+// through core::ShardedEngine.
 #pragma once
 
 #include <cstddef>

@@ -173,16 +173,6 @@ class QOESIM_SHARD_PLANE Node {
   /// node plane's steady state performs no allocation.
   std::size_t bound_count() const { return demux_.size(); }
   std::uint64_t demux_rehashes() const { return demux_.rehashes(); }
-  /// Probe-length distribution of the live demux table (bench_megaflows
-  /// proves lookups stay near-flat to 1M entries with it).
-  FlatTable<Handler>::ProbeStats demux_probe_stats() const {
-    return demux_.probe_stats();
-  }
-  /// Wall-clock {probes, total ns} of one find per live demux entry
-  /// (stderr-only figure; see FlatTable::timed_find_walk).
-  std::pair<std::uint64_t, std::uint64_t> demux_timed_find_walk() const {
-    return demux_.timed_find_walk();
-  }
 
   /// The pooled per-flow state arena every TcpSocket this node originates
   /// or accepts lives in (see core/flow_arena.hpp and the README "flow

@@ -128,18 +128,6 @@ TEST(FlowArena, SlotReuseIsLifoAndSlabGrowthStaysFlat) {
   EXPECT_EQ(arena.stats().slab_growths, 2u);
 }
 
-TEST(FlowArena, PrewarmAvoidsMidRunGrowth) {
-  FlowArena arena;
-  {
-    auto f = make_flow(arena);  // fixes the slot size
-  }
-  arena.prewarm(1000);
-  const std::uint64_t growths = arena.stats().slab_growths;
-  std::vector<std::shared_ptr<Flow>> flows;
-  for (int i = 0; i < 1000; ++i) flows.push_back(make_flow(arena));
-  EXPECT_EQ(arena.stats().slab_growths, growths);
-}
-
 TEST(FlowArena, ColdPoolRoundTrip) {
   FlowArena arena;
   void* a = arena.cold_alloc(200);

@@ -358,7 +358,9 @@ TEST(FlatTableTest, FuzzAgainstMapReference) {
           auto* slot = table.find(pack(key));
           auto it = reference.find(key);
           ASSERT_EQ(slot != nullptr, it != reference.end());
-          if (slot != nullptr) EXPECT_EQ(slot->value, it->second);
+          if (slot != nullptr) {
+            EXPECT_EQ(slot->value, it->second);
+          }
           break;
         }
       }

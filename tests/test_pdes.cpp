@@ -11,6 +11,8 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sharded_engine.hpp"
@@ -340,11 +342,12 @@ TEST(ShardedEngine, TopologyRejectsBadShards) {
 }
 
 TEST(ShardedEngine, ValidatesConfiguration) {
-  EXPECT_THROW(ShardedEngine(ShardedEngine::Config{.shards = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ShardedEngine(ShardedEngine::Config{.lookahead_floor = Time::zero()}),
-      std::invalid_argument);
+  ShardedEngine::Config no_shards;
+  no_shards.shards = 0;
+  EXPECT_THROW(ShardedEngine{no_shards}, std::invalid_argument);
+  ShardedEngine::Config no_floor;
+  no_floor.lookahead_floor = Time::zero();
+  EXPECT_THROW(ShardedEngine{no_floor}, std::invalid_argument);
 
   ShardedEngine::Config cfg;
   cfg.shards = 2;
@@ -383,6 +386,174 @@ TEST(ShardedEngine, ShortLinkClusterNeverSplits) {
   const net::NodeId y = bad.add_node("y");
   bad.connect(x, y, lan, lan);
   EXPECT_THROW(bad.build(), std::invalid_argument);
+}
+
+
+// Connection churn through one hub at flow counts a tier-1 run affords:
+// four clients on 1 ms spokes (every spoke clears the floor, so each
+// client is its own cluster) open 48 flows each in on_connected chains,
+// hold them idle, close them all, drop their references and reopen a
+// few. Every node counter and the combined event count must match the
+// single-shard run; idle flows never attach a cold block, nothing is
+// blackholed, and the reopened flows reuse the server's freed arena
+// slots instead of growing its slab. The 192 first-wave flows fill the
+// server arena's first two slabs (64 + 128 slots) exactly, so a reopen
+// that did not reuse a freed slot would have to grow a third.
+TEST(ShardedEngine, ConnectionChurnAcrossShardsInvariant) {
+  constexpr unsigned kClients = 4;
+  constexpr unsigned kFlowsPerClient = 48;
+  constexpr unsigned kChainsPerClient = 4;
+  constexpr unsigned kReopenPerClient = 4;
+  constexpr Time kSteady = Time::milliseconds(500);
+  constexpr Time kClose = Time::milliseconds(600);
+  constexpr Time kClear = Time::milliseconds(1600);
+  constexpr Time kReopen = Time::milliseconds(1800);
+  constexpr Time kEnd = Time::milliseconds(2300);
+
+  // Each client's state is touched only by its own node's shard.
+  struct Client {
+    net::Node* node = nullptr;
+    net::NodeId server = 0;
+    std::vector<std::shared_ptr<tcp::TcpSocket>> socks;
+    unsigned launched = 0;
+  };
+  struct Outcome {
+    net::Node::Stats steady;
+    net::Node::Stats end;
+    std::uint64_t fired = 0;
+    std::uint64_t server_slab_growth = 0;  ///< steady state -> end
+    unsigned established_at_end = 0;
+  };
+  struct Chain {
+    static void open_next(Client& c) {
+      if (c.launched == kFlowsPerClient) return;
+      ++c.launched;
+      tcp::TcpSocket::Callbacks cb;
+      cb.on_connected = [&c] { open_next(c); };
+      c.socks.push_back(tcp::TcpSocket::connect(*c.node, c.server, kPort, {},
+                                                std::move(cb)));
+    }
+  };
+
+  auto run = [&](unsigned shards, std::vector<std::int32_t> pins) {
+    ShardedEngine::Config cfg;
+    cfg.shards = shards;
+    cfg.pin = std::move(pins);
+    ShardedEngine engine(std::move(cfg));
+    net::LinkSpec spoke;
+    spoke.rate_bps = 1e9;
+    spoke.delay = Time::milliseconds(1);
+    spoke.buffer_packets = 1024;
+    const net::NodeId srv = engine.add_node("srv");
+    std::vector<net::NodeId> cli;
+    for (unsigned c = 0; c < kClients; ++c) {
+      cli.push_back(engine.add_node("c" + std::to_string(c)));
+      engine.connect(srv, cli.back(), spoke, spoke);
+    }
+    engine.build();
+
+    // Touched only by the server's shard.
+    std::vector<std::shared_ptr<tcp::TcpSocket>> accepted;
+    tcp::TcpServer server(
+        engine.node(srv), kPort, {},
+        [&accepted](std::shared_ptr<tcp::TcpSocket> sock) {
+          // Answer the client's FIN so teardown completes and the slot
+          // returns to the arena mid-run; `accepted` outlives the run.
+          tcp::TcpSocket* raw = sock.get();
+          tcp::TcpSocket::Callbacks cb;
+          cb.on_remote_close = [raw] { raw->close(); };
+          raw->set_callbacks(std::move(cb));
+          accepted.push_back(std::move(sock));
+        });
+
+    std::vector<Client> clients(kClients);
+    for (unsigned c = 0; c < kClients; ++c) {
+      Client& client = clients[c];
+      client.node = &engine.node(cli[c]);
+      client.server = srv;
+      for (unsigned k = 0; k < kChainsPerClient; ++k) {
+        engine.sim_of(cli[c]).at(Time::microseconds(10 + 17 * c + 113 * k),
+                                 [&client] { Chain::open_next(client); });
+      }
+    }
+
+    Outcome out;
+    engine.run_until(kSteady);
+    out.steady = engine.node_stats();
+    const std::uint64_t slabs_steady =
+        engine.node(srv).flow_arena().stats().slab_growths;
+
+    // Staggered closes, then drop every app reference, then reopen.
+    for (unsigned c = 0; c < kClients; ++c) {
+      Client& client = clients[c];
+      Simulation& sim = engine.sim_of(cli[c]);
+      for (std::size_t j = 0; j < client.socks.size(); ++j) {
+        sim.at(kClose + Time::microseconds(50.0 * j + c),
+               [s = client.socks[j]] { s->close(); });
+      }
+      sim.at(kClear, [&client] { client.socks.clear(); });
+      for (unsigned k = 0; k < kReopenPerClient; ++k) {
+        sim.at(kReopen + Time::microseconds(17 * c + 113 * k), [&client] {
+          client.socks.push_back(
+              tcp::TcpSocket::connect(*client.node, client.server, kPort));
+        });
+      }
+    }
+    engine.sim_of(srv).at(kClear, [&accepted] { accepted.clear(); });
+    engine.run_until(kEnd);
+    out.end = engine.node_stats();
+    out.fired = engine.scheduler_stats().fired;
+    out.server_slab_growth =
+        engine.node(srv).flow_arena().stats().slab_growths - slabs_steady;
+    for (const Client& c : clients) {
+      for (const auto& sock : c.socks) {
+        if (sock->established()) ++out.established_at_end;
+      }
+    }
+    return out;
+  };
+  auto fields = [](const net::Node::Stats& s) {
+    return std::vector<std::uint64_t>{
+        s.delivered,
+        s.undelivered,
+        s.stray_late,
+        s.unrouted,
+        s.binds,
+        s.unbinds,
+        s.demux_rehashes,
+        s.flows_opened,
+        s.flows_closed,
+        s.flow_peak_live,
+        s.flow_hot_bytes,
+        s.flow_cold_allocs,
+        s.flow_cold_frees,
+        s.flow_cold_peak_live,
+        s.flow_cold_bytes,
+    };
+  };
+
+  const Outcome one = run(1, {});
+  // The whole first wave was open and idle at steady state: client and
+  // server side of every flow, all live at once.
+  EXPECT_EQ(one.steady.flows_opened, 2u * kClients * kFlowsPerClient);
+  EXPECT_EQ(one.steady.flow_peak_live, 2u * kClients * kFlowsPerClient);
+  // Only the reopened flows are live at the end.
+  EXPECT_EQ(one.end.flows_closed, 2u * kClients * kFlowsPerClient);
+  EXPECT_EQ(one.established_at_end, kClients * kReopenPerClient);
+
+  const std::vector<std::pair<unsigned, std::vector<std::int32_t>>> runs = {
+      {1, {}}, {2, {}}, {3, {0, 1, 2, 1, 2}}, {4, {}}};
+  for (const auto& [shards, pins] : runs) {
+    SCOPED_TRACE(shards);
+    const Outcome o = shards == 1 ? one : run(shards, pins);
+    EXPECT_EQ(fields(o.end), fields(one.end));
+    EXPECT_EQ(o.fired, one.fired);
+    EXPECT_GT(o.end.flow_hot_bytes, 0u);
+    EXPECT_EQ(o.end.flow_cold_allocs, 0u);
+    EXPECT_EQ(o.end.undelivered, 0u);
+    EXPECT_EQ(o.end.unrouted, 0u);
+    EXPECT_EQ(o.server_slab_growth, 0u);
+  }
 }
 
 }  // namespace

@@ -172,7 +172,9 @@ TEST(IntervalSet, FuzzMergeAgainstByteSetReference) {
       ASSERT_GE(hole, pos) << "step " << step;
       // hole_end is meaningful only for holes below the high-water mark;
       // callers check hole >= high() first (retransmit_next_hole).
-      if (hole < set.high()) ASSERT_LE(hole, hole_end) << "step " << step;
+      if (hole < set.high()) {
+        ASSERT_LE(hole, hole_end) << "step " << step;
+      }
     }
   }
 }
