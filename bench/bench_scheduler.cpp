@@ -21,6 +21,12 @@
 //                    lane (schedule_at, handle dropped), which is the
 //                    single-heap, slot-per-event cost the packet lane
 //                    removes.
+//   packet ring   -- the pdes_ring shape: 160 packet events, no timers,
+//                    each re-posting itself from inside its own firing,
+//                    half at tx-complete delays (12 or 120 us), half at
+//                    delivery delays (0.2-10 ms). This is the depth at
+//                    which a packet-lane event fires in place and its
+//                    re-post takes the vacated heap root.
 //
 // Accepts the shared bench flags plus --quick (CI smoke: ~10x fewer ops).
 #include <chrono>
@@ -66,7 +72,8 @@ double steady_fire(long fires, int depth) {
   sched.set_stats_fold(&bench::stats_registry().scheduler);
   long fired = 0;
   for (int i = 0; i < depth; ++i) {
-    sched.schedule_at(Time::microseconds(i), Ticker{&sched, &fired, fires, depth});
+    sched.schedule_at(Time::microseconds(i),
+                      Ticker{&sched, &fired, fires, depth});
   }
   const auto t0 = Clock::now();
   sched.run();
@@ -188,6 +195,43 @@ double timers_and_packets(long fires, bool post) {
   return static_cast<double>(mix.fired) / secs;
 }
 
+// The packet ring pattern: RingTick captures its ring and its own delay,
+// 16 bytes, so every re-post is a post_at from inside the firing event.
+struct PacketRing {
+  static constexpr int kPackets = 160;
+  Scheduler sched;
+  long fired = 0;
+  long limit = 0;
+};
+
+struct RingTick {
+  PacketRing* ring;
+  Time delay;
+  void operator()() const {
+    if (++ring->fired + PacketRing::kPackets > ring->limit) return;
+    ring->sched.post_at(ring->sched.now() + delay, *this);
+  }
+};
+
+double packet_ring(long fires) {
+  PacketRing ring;
+  ring.sched.set_stats_fold(&bench::stats_registry().scheduler);
+  ring.limit = fires;
+  constexpr int kHalf = PacketRing::kPackets / 2;
+  for (int i = 0; i < PacketRing::kPackets; ++i) {
+    const int k = i / 2;
+    // Even events: tx-completes at 12 or 120 us; odd: deliveries spread
+    // over 0.2-10 ms.
+    const Time delay = i % 2 == 0
+                           ? Time::microseconds(k % 2 == 0 ? 12 : 120)
+                           : Time::microseconds(200 + k * 9800 / (kHalf - 1));
+    ring.sched.post_at(Time::microseconds(i), RingTick{&ring, delay});
+  }
+  const auto t0 = Clock::now();
+  ring.sched.run();
+  return static_cast<double>(ring.fired) / seconds_since(t0);
+}
+
 void run(const bench::BenchOptions& opt) {
   // --quick is the CI smoke preset: ~10x fewer ops (opt.scale still
   // multiplies the op counts, not the probe budget -- this bench has none).
@@ -210,6 +254,8 @@ void run(const bench::BenchOptions& opt) {
                  std::to_string(base), mops(timers_and_packets(base, true))});
   table.add_row({"timers+packets, packets as timers (one heap)",
                  std::to_string(base), mops(timers_and_packets(base, false))});
+  table.add_row({"packet ring, 160 self-re-posting (no timers)",
+                 std::to_string(base), mops(packet_ring(base))});
   bench::emit(table, opt, "Scheduler throughput");
 }
 

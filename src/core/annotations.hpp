@@ -155,8 +155,9 @@ class ShardAffinity {
   ShardAffinity(const ShardAffinity&) = delete;
   ShardAffinity& operator=(const ShardAffinity&) = delete;
 
-  /// Adopt the calling thread as the shard owner (epoch start, or a bare
-  /// Scheduler::step). Aborts if another thread currently owns the shard.
+  /// Adopt the calling thread as the shard owner at epoch start (ShardGuard
+  /// calls it; every Scheduler driver, step() included, holds one). Aborts
+  /// if another thread currently owns the shard.
   void begin_epoch() QOESIM_ASSERT_CAPABILITY(::qoesim::shard_plane) {
 #ifndef NDEBUG
     check_owner();

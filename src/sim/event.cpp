@@ -78,8 +78,7 @@ void Scheduler::heap_push(HeapEntry entry) {
   std::vector<HeapEntry>& heap = lanes_[Lane];
   heap.push_back(entry);  // capacity pre-grown by reserve_heap()
   heap_sift_up<Lane>(heap.size() - 1);
-  const std::size_t depth = pending_events();
-  if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
+  note_depth();
 }
 
 template <unsigned Lane>
@@ -99,7 +98,7 @@ void Scheduler::heap_resift(std::size_t pos) {
   if (pos > 0 && heap_less(heap[pos], heap[(pos - 1) / 4])) {
     heap_sift_up<Lane>(pos);
   } else {
-    heap_sift_down<Lane>(pos);
+    heap_sift_down<Lane>(pos, heap[pos]);
   }
 }
 
@@ -117,9 +116,8 @@ void Scheduler::heap_sift_up(std::size_t pos) {
 }
 
 template <unsigned Lane>
-void Scheduler::heap_sift_down(std::size_t pos) {
+void Scheduler::heap_sift_down(std::size_t pos, const HeapEntry entry) {
   const std::vector<HeapEntry>& heap = lanes_[Lane];
-  const HeapEntry entry = heap[pos];
   const std::size_t size = heap.size();
   for (;;) {
     const std::size_t first_child = pos * 4 + 1;
@@ -155,7 +153,8 @@ EventHandle Scheduler::schedule_at(Time when, Callback&& cb) {
 
 [[gnu::hot]] void Scheduler::post_packet(Time when, std::uint64_t seq,
                                          const PacketEvent& ev) {
-  reserve_heap(kPacketLane);
+  // A vacant root (see fire_packet) leaves room in the heap as it is.
+  if (!packet_root_vacant_) reserve_heap(kPacketLane);
   std::uint32_t index = packet_free_head_;
   if (index != kNilIndex) {
     std::memcpy(&packet_free_head_, packet_events_[index].closure,
@@ -169,8 +168,21 @@ EventHandle Scheduler::schedule_at(Time when, Callback&& cb) {
     index = static_cast<std::uint32_t>(packet_events_.size());
     packet_events_.push_back(ev);
   }
-  heap_push<kPacketLane>(HeapEntry{when, seq << kSlotBits | index});
+  const HeapEntry entry{when, seq << kSlotBits | index};
+  if (packet_root_vacant_) {
+    packet_root_vacant_ = false;
+    heap_sift_down<kPacketLane>(0, entry);
+    note_depth();
+  } else {
+    heap_push<kPacketLane>(entry);
+  }
   ++stats_.scheduled;
+}
+
+void Scheduler::settle_packet_root() {
+  if (!packet_root_vacant_) return;
+  packet_root_vacant_ = false;
+  heap_remove<kPacketLane>(0);
 }
 
 void Scheduler::assert_seq_not_pending(std::uint64_t seq) const {
@@ -179,11 +191,15 @@ void Scheduler::assert_seq_not_pending(std::uint64_t seq) const {
   // The scan is bounded so debug builds of large simulations don't pay
   // O(pending) on every delivery (this path runs once per packet-hop).
   if (pending_events() > 4096) return;
-  for (const std::vector<HeapEntry>& heap : lanes_) {
-    for (const HeapEntry& e : heap) {
-      assert(e.seq_id >> kSlotBits != seq &&
+  for (const unsigned lane : {kTimerLane, kPacketLane}) {
+    const std::vector<HeapEntry>& heap = lanes_[lane];
+    // A vacant packet root holds the firing event's entry, not a pending
+    // one.
+    const std::size_t first =
+        lane == kPacketLane && packet_root_vacant_ ? 1 : 0;
+    for (std::size_t i = first; i < heap.size(); ++i) {
+      assert(heap[i].seq_id >> kSlotBits != seq &&
              "post_at_seq: seq already pending");
-      static_cast<void>(e);
     }
   }
   static_cast<void>(seq);
@@ -231,7 +247,6 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
 
 [[gnu::hot]] void Scheduler::fire_packet() {
   const HeapEntry head = lanes_[kPacketLane][0];
-  heap_remove<kPacketLane>(0);
   now_ = head.when;
   // Copy the entry out and free its index before invoking, for the same
   // reasons as fire_timer(): a re-arm from inside the callback (a link's
@@ -242,6 +257,25 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
               sizeof packet_free_head_);
   packet_free_head_ = index;
   ++stats_.fired;
+  // Fire in place: the root stays where it is, vacant, while the callback
+  // runs. Its first post_packet writes into the root and sifts down once;
+  // if it posts nothing, the guard refills the root from the tail on the
+  // way out, also when the callback throws.
+  class RootRefill {
+   public:
+    explicit RootRefill(Scheduler* sched) : sched_(sched) {}
+    RootRefill(const RootRefill&) = delete;
+    RootRefill& operator=(const RootRefill&) = delete;
+    ~RootRefill() {
+      sched_->shard_.assert_held();
+      sched_->settle_packet_root();
+    }
+
+   private:
+    Scheduler* sched_;
+  };
+  packet_root_vacant_ = true;
+  const RootRefill refill(this);
   ev.invoke(ev.closure);
 }
 
@@ -254,9 +288,13 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
 }
 
 [[gnu::hot]] bool Scheduler::step() {
-  // A bare step() is a one-event epoch: adopt the calling thread (aborts
-  // in debug builds if another thread's epoch is live).
-  shard_.begin_epoch();
+  // A bare step() is a one-event epoch: the calling thread owns the shard
+  // until it returns (aborts in debug builds if another thread's epoch is
+  // live), then any thread may run the next one.
+  const ShardGuard epoch(&shard_);
+  // A step() from inside a packet-lane callback must not see its vacant
+  // root; the other drivers settle it likewise.
+  settle_packet_root();
   const unsigned lane = next_lane();
   if (lane == kNoLane) return false;
   fire_head(lane);
@@ -268,6 +306,7 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   // returns; ownership is released at exit so the simulation may resume
   // on a different thread later (sweep-cell handoff).
   const ShardGuard epoch(&shard_);
+  settle_packet_root();
   for (unsigned lane = next_lane();
        lane != kNoLane && lanes_[lane][0].when <= until; lane = next_lane()) {
     fire_head(lane);
@@ -283,6 +322,7 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
   // events allocated during the epoch fire before barrier-admitted ones),
   // which is the order a single-shard run produces too.
   const ShardGuard epoch(&shard_);
+  settle_packet_root();
   for (unsigned lane = next_lane();
        lane != kNoLane && lanes_[lane][0].when < until; lane = next_lane()) {
     fire_head(lane);
@@ -292,6 +332,7 @@ bool Scheduler::handle_reschedule(std::uint32_t slot, std::uint64_t generation,
 
 [[gnu::hot]] void Scheduler::run() {
   const ShardGuard epoch(&shard_);
+  settle_packet_root();
   for (unsigned lane = next_lane(); lane != kNoLane; lane = next_lane()) {
     fire_head(lane);
   }

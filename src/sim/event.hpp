@@ -15,7 +15,7 @@
 // The caller picks the lane by whether it keeps a handle. A backbone cell
 // holds ~1,700 mostly idle timers but only a few dozen packet events, so
 // splitting them keeps the per-packet push/pop in a heap a few levels deep
-// instead of one sized by the timer population. The fire loop pops
+// instead of one sized by the timer population. The fire loop fires
 // whichever lane head has the smaller (when, seq); sequence numbers are
 // unique across both lanes, so the firing order is exactly the order a
 // single heap would produce.
@@ -34,6 +34,16 @@
 // deterministic. Timer-lane events can be cancelled or rescheduled through
 // EventHandle; cancellation removes the entry from its heap immediately
 // instead of leaving a tombstone to purge later.
+//
+// A packet-lane event fires in place. Its heap root stays vacant while
+// its callback runs, and the callback's first post (a link's next
+// tx-complete or delivery, which most packet callbacks make) is written
+// into the root and sifted down once: one sift instead of a pop's
+// sift-down of the tail followed by a push's sift-up. If the callback
+// posts nothing, the tail refills the root when the callback returns or
+// throws. pending_events() never counts the vacant root, and the run
+// drivers refill it on entry, so a driver called from inside a callback
+// sees a whole heap.
 //
 // EventHandle is a cheap {slot, generation} reference into the timer
 // arena: copies share liveness (cancelling through one copy is visible to
@@ -221,7 +231,8 @@ class QOESIM_SHARD_PLANE Scheduler {
   /// old tombstone implementation, which reported them until they were
   /// popped).
   std::size_t pending_events() const {
-    return lanes_[kTimerLane].size() + lanes_[kPacketLane].size();
+    return lanes_[kTimerLane].size() + lanes_[kPacketLane].size() -
+           (packet_root_vacant_ ? 1 : 0);
   }
 
   /// Total number of events fired so far (for perf accounting).
@@ -255,7 +266,12 @@ class QOESIM_SHARD_PLANE Scheduler {
   // chasing pointers into an arena. seq and the event's arena id share one
   // word (40-bit monotonic sequence, 24-bit id: a Slot on the timer lane, a
   // PacketEvent on the packet lane), keeping entries at 16 bytes so a
-  // 4-ary node's children span a single cache line. Both widths have
+  // 4-ary node's four children are 64 contiguous bytes. Those of node i
+  // start at byte 64i+16 of the array, so they share one cache line only
+  // if the array starts 48 bytes past a 64-byte boundary. std::vector
+  // aligns it to 16 bytes, no more; glibc malloc places arrays of 128 or
+  // more entries 16 bytes past a boundary, where every child group spans
+  // two cache lines. Both widths have
   // explicit overflow guards in the .cpp (2^40 events per scheduler, 2^24
   // simultaneously pending events per lane).
   static constexpr unsigned kSlotBits = 24;
@@ -317,6 +333,8 @@ class QOESIM_SHARD_PLANE Scheduler {
   std::uint64_t next_seq() QOESIM_REQUIRES_SHARD;
   void post_packet(Time when, std::uint64_t seq, const PacketEvent& ev)
       QOESIM_REQUIRES_SHARD;
+  // Refill a vacant packet-lane root from the tail (see fire_packet).
+  void settle_packet_root() QOESIM_REQUIRES_SHARD;
   void assert_seq_not_pending(std::uint64_t seq) const;
 
   // Each lane is an indexed 4-ary min-heap keyed by (when, seq).
@@ -338,6 +356,10 @@ class QOESIM_SHARD_PLANE Scheduler {
     }
   }
   void reserve_heap(unsigned lane) QOESIM_REQUIRES_SHARD;
+  void note_depth() {
+    const std::size_t depth = pending_events();
+    if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
+  }
   template <unsigned Lane>
   void heap_push(HeapEntry entry) QOESIM_REQUIRES_SHARD;
   template <unsigned Lane>
@@ -346,11 +368,13 @@ class QOESIM_SHARD_PLANE Scheduler {
   void heap_resift(std::size_t pos) QOESIM_REQUIRES_SHARD;
   template <unsigned Lane>
   void heap_sift_up(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  // Sift `entry` down from the hole at `pos`.
   template <unsigned Lane>
-  void heap_sift_down(std::size_t pos) QOESIM_REQUIRES_SHARD;
+  void heap_sift_down(std::size_t pos, HeapEntry entry) QOESIM_REQUIRES_SHARD;
 
   // The lane whose head fires next (one extra compare per event), or
-  // kNoLane when both are empty.
+  // kNoLane when both are empty. Never called while the packet root is
+  // vacant: the drivers settle it on entry.
   static constexpr unsigned kNoLane = 2;
   unsigned next_lane() const {
     const std::vector<HeapEntry>& timers = lanes_[kTimerLane];
@@ -359,7 +383,7 @@ class QOESIM_SHARD_PLANE Scheduler {
     if (timers.empty() || heap_less(packets[0], timers[0])) return kPacketLane;
     return kTimerLane;
   }
-  // Pop the head event of `lane` and invoke it.
+  // Fire the head event of `lane`.
   void fire_head(unsigned lane) QOESIM_REQUIRES_SHARD;
   void fire_timer() QOESIM_REQUIRES_SHARD;
   void fire_packet() QOESIM_REQUIRES_SHARD;
@@ -375,6 +399,9 @@ class QOESIM_SHARD_PLANE Scheduler {
   std::uint32_t free_head_ = kNilIndex;
   std::vector<PacketEvent> packet_events_;  // the packet lane's arena
   std::uint32_t packet_free_head_ = kNilIndex;
+  // True while a packet-lane callback runs and has not posted yet: the
+  // packet heap's root then holds the firing event's stale entry.
+  bool packet_root_vacant_ = false;
 };
 
 inline bool EventHandle::pending() const {

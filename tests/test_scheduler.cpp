@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace qoesim {
@@ -262,7 +263,8 @@ TEST(Scheduler, LargeCapturesFallBackToHeapStorage) {
   Big big{{}, witness};
   big.payload[0] = 42;
   sched.schedule_at(Time::seconds(1), [big] { ++*big.witness; });
-  auto cancelled = sched.schedule_at(Time::seconds(2), [big] { ++*big.witness; });
+  auto cancelled =
+      sched.schedule_at(Time::seconds(2), [big] { ++*big.witness; });
   EXPECT_EQ(witness.use_count(), 4);  // witness + big + two scheduled copies
   cancelled.cancel();
   EXPECT_EQ(witness.use_count(), 3);  // cancel destroys the capture eagerly
@@ -384,7 +386,8 @@ TEST(Scheduler, RescheduledTimerInterleavesWithPacketLane) {
   // all pick the smaller head across lanes, and the stats sum both lanes.
   Scheduler sched;
   std::vector<int> order;
-  EventHandle h = sched.schedule_at(Time::seconds(1), [&] { order.push_back(3); });
+  EventHandle h =
+      sched.schedule_at(Time::seconds(1), [&] { order.push_back(3); });
   sched.post_at(Time::seconds(2), [&] { order.push_back(2); });
   sched.post_at(Time::seconds(1), [&] { order.push_back(1); });
   ASSERT_TRUE(h.reschedule(Time::seconds(2)));
@@ -418,6 +421,75 @@ TEST(Scheduler, PacketLaneClosureOfSixteenBytesKeepsItsCaptures) {
     sched.run();
   }
   EXPECT_EQ(seen, expected);
+}
+
+// State of the fire-in-place tests below; each packet-lane closure
+// captures a pointer to it and an id, within post_at's 16-byte bound.
+struct InPlaceLane {
+  Scheduler sched;
+  std::vector<int> order;
+  bool post_first = false;
+};
+
+TEST(Scheduler, ThrowingPacketLeavesTheLaneWhole) {
+  // A packet-lane event fires in place: its heap root stays vacant until
+  // the callback's first post. A callback that throws, before or after
+  // that post, must leave a whole heap behind: the right pending count,
+  // and the remaining events firing in (when, seq) order.
+  for (const bool post_first : {false, true}) {
+    InPlaceLane lane;
+    InPlaceLane* l = &lane;
+    l->post_first = post_first;
+    // Posted latest first, so the heap has more than one level.
+    for (int i = 9; i >= 0; --i) {
+      l->sched.post_at(Time::milliseconds(10 + i),
+                       [l, i] { l->order.push_back(10 + i); });
+    }
+    // Ties with packet event 12, which holds the smaller seq.
+    l->sched.schedule_at(Time::milliseconds(12),
+                         [l] { l->order.push_back(99); });
+    l->sched.post_at(Time::milliseconds(1), [l] {
+      l->order.push_back(1);
+      if (l->post_first) {
+        l->sched.post_at(Time::milliseconds(15),
+                         [l] { l->order.push_back(50); });
+      }
+      throw std::runtime_error("packet callback failed");
+    });
+    EXPECT_THROW(l->sched.run_until(Time::seconds(1)), std::runtime_error);
+    EXPECT_EQ(l->order, (std::vector<int>{1}));
+    EXPECT_EQ(l->sched.now(), Time::milliseconds(1));
+    EXPECT_EQ(l->sched.pending_events(), post_first ? 12u : 11u);
+
+    l->sched.run();
+    std::vector<int> expected{1, 10, 11, 12, 99, 13, 14, 15};
+    if (post_first) expected.push_back(50);
+    for (const int id : {16, 17, 18, 19}) expected.push_back(id);
+    EXPECT_EQ(l->order, expected);
+    EXPECT_EQ(l->sched.pending_events(), 0u);
+    EXPECT_EQ(l->sched.stats().fired, post_first ? 13u : 12u);
+    EXPECT_EQ(l->sched.stats().peak_queue_depth, 12u);
+  }
+}
+
+TEST(Scheduler, StepInsidePacketCallbackFiresTheNextEvent) {
+  // The drivers refill a vacant packet root on entry, so a step() from
+  // inside a packet-lane callback that has not posted yet fires the next
+  // event, not the running one.
+  InPlaceLane lane;
+  InPlaceLane* l = &lane;
+  l->sched.post_at(Time::milliseconds(2), [l] { l->order.push_back(2); });
+  l->sched.post_at(Time::milliseconds(3), [l] { l->order.push_back(3); });
+  l->sched.post_at(Time::milliseconds(1), [l] {
+    l->order.push_back(1);
+    EXPECT_EQ(l->sched.pending_events(), 2u);
+    EXPECT_TRUE(l->sched.step());
+    l->order.push_back(-1);
+  });
+  l->sched.run();
+  EXPECT_EQ(l->order, (std::vector<int>{1, 2, -1, 3}));
+  EXPECT_EQ(l->sched.pending_events(), 0u);
+  EXPECT_EQ(l->sched.stats().fired, 3u);
 }
 
 // A fixed script over both lanes: packet events that re-post themselves

@@ -28,7 +28,7 @@ TEST(ShardAffinityTest, OwningThreadMayReenterItsEpoch) {
   ShardAffinity affinity;
   affinity.begin_epoch();
   affinity.assert_held();
-  affinity.begin_epoch();  // bare step() after step(): same owner, fine
+  affinity.begin_epoch();  // nested epoch on the owning thread: fine
   affinity.assert_held();
   affinity.end_epoch();
 }
@@ -73,6 +73,21 @@ TEST(ShardAffinityTest, SimulationRunAdoptsTheCallingThread) {
   EXPECT_TRUE(fired);
   std::thread other([&] { sim.shard().assert_held(); });
   other.join();
+}
+
+TEST(ShardAffinityTest, SchedulerSteppedHereMayRunElsewhere) {
+  // step() is a one-event epoch: it releases the shard when it returns,
+  // so a scheduler stepped on one thread may run on another afterwards.
+  // Debug builds abort with "cross-shard access" if step() keeps it.
+  Scheduler sched;
+  int fired = 0;
+  sched.schedule_at(Time::seconds(1), [&fired] { ++fired; });
+  sched.schedule_at(Time::seconds(2), [&fired] { ++fired; });
+  ASSERT_TRUE(sched.step());
+  std::thread other([&] { sched.run_until(Time::seconds(3)); });
+  other.join();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sched.now(), Time::seconds(3));
 }
 
 #ifndef NDEBUG
