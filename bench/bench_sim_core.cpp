@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the simulator substrate itself:
-// queue operations, link forwarding, node demux, flow churn and end-to-end
-// TCP simulation throughput (events/second), so performance regressions in
+// queue operations, link forwarding, node demux and end-to-end TCP
+// simulation throughput (events/second), so performance regressions in
 // the core are visible independent of the figure benches. Raw scheduler
 // throughput (bulk schedule+fire, schedule+cancel) is bench_scheduler's.
 //
@@ -13,14 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "bench_churn.hpp"
 #include "bench_common.hpp"
 #include "net/drop_tail.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_server.hpp"
 #include "tcp/tcp_socket.hpp"
-#include "trafficgen/harpoon.hpp"
 
 namespace qoesim {
 namespace {
@@ -145,61 +143,6 @@ void BM_Demux(benchmark::State& state) {
 }
 BENCHMARK(BM_Demux)->Arg(64)->Arg(1024)->Arg(4096);
 
-// Flow churn at scale: N Harpoon sessions push short transfers through a
-// shared 10 Gbit/s bottleneck, so every flow pays connect (ephemeral port +
-// bind), handshake, transfer, teardown (unbind). items/s is completed
-// flows/s; the events/s counter is the end-to-end simulator rate.
-void BM_FlowChurn(benchmark::State& state) {
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  std::uint64_t flows = 0;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    Simulation sim(11);
-    net::Topology topo(sim, &bench::stats_registry().nodes);
-    auto& src = topo.add_node("src");
-    auto& dst = topo.add_node("dst");
-    const net::LinkSpec spec = bench::churn_link_spec();
-    topo.connect(src, dst, spec, spec);
-    topo.compute_routes();
-    trafficgen::HarpoonGenerator gen(sim, {&src}, {&dst},
-                                     bench::churn_harpoon_config(sessions),
-                                     sim.rng("churn"));
-    gen.start();
-    sim.run_until(Time::seconds(2));
-    flows += gen.flows_completed();
-    events += sim.scheduler().fired_events();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(flows));
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FlowChurn)->Arg(64)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HarpoonScenarioSecond(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulation sim(7);
-    net::Topology topo(sim, &bench::stats_registry().nodes);
-    auto& a = topo.add_node("src");
-    auto& b = topo.add_node("dst");
-    net::LinkSpec spec;
-    spec.rate_bps = 100e6;
-    spec.delay = Time::milliseconds(10);
-    spec.buffer_packets = 256;
-    topo.connect(a, b, spec, spec);
-    topo.compute_routes();
-    trafficgen::HarpoonConfig cfg;
-    cfg.sessions = 30;
-    cfg.interarrival = std::make_shared<trafficgen::ExponentialDist>(0.5);
-    cfg.file_size = trafficgen::paper_file_sizes();
-    trafficgen::HarpoonGenerator gen(sim, {&a}, {&b}, cfg, sim.rng("h"));
-    gen.start();
-    sim.run_until(Time::seconds(5));
-    benchmark::DoNotOptimize(gen.flows_completed());
-  }
-}
-BENCHMARK(BM_HarpoonScenarioSecond)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace qoesim
 
@@ -220,8 +163,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  std::string filter =
-      "--benchmark_filter=LinkForwarding|DropTail|Demux|FlowChurn/64$";
+  std::string filter = "--benchmark_filter=LinkForwarding|DropTail|Demux";
   std::string min_time = "--benchmark_min_time=0.05";
   if (quick) {
     args.push_back(filter.data());
@@ -233,7 +175,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Same zero-blackhole gate as the figure benches (exit 1 on violation):
-  // the churn/demux benchmarks must account for every packet.
+  // the demux and TCP benchmarks must account for every packet.
   qoesim::bench::emit_node_summary();
   return 0;
 }

@@ -49,23 +49,6 @@ const char* to_string(CcKind kind) {
   return "?";
 }
 
-std::unique_ptr<CongestionControl> make_congestion_control(
-    CcKind kind, double mss_bytes, double initial_cwnd_bytes) {
-  switch (kind) {
-    case CcKind::kReno:
-      return std::make_unique<RenoCc>(mss_bytes, initial_cwnd_bytes);
-    case CcKind::kBic:
-      return std::make_unique<BicCc>(mss_bytes, initial_cwnd_bytes);
-    case CcKind::kCubic:
-      return std::make_unique<CubicCc>(mss_bytes, initial_cwnd_bytes);
-    case CcKind::kVegas:
-      return std::make_unique<VegasCc>(mss_bytes, initial_cwnd_bytes);
-    case CcKind::kBbr:
-      return std::make_unique<BbrCc>(mss_bytes, initial_cwnd_bytes);
-  }
-  throw std::invalid_argument("make_congestion_control: unknown kind");
-}
-
 // Every variant must fit the socket's inline controller box (and respect
 // its alignment); growing a controller past the budget is a conscious
 // memory-contract change, not an accident.

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "sim/time.hpp"
@@ -76,19 +75,15 @@ class CongestionControl {
   Time min_rtt_ = Time::max();
 };
 
-std::unique_ptr<CongestionControl> make_congestion_control(
-    CcKind kind, double mss_bytes, double initial_cwnd_bytes);
-
 /// Inline storage budget for any controller variant. The pooled socket
 /// embeds the controller in a fixed-size box instead of a heap object, so
 /// a flow is one arena slot with no satellite allocations; the .cpp
 /// static_asserts every variant (BBR is the largest) fits.
 inline constexpr std::size_t kCcBoxBytes = 256;
 
-/// Placement flavor of make_congestion_control: construct the controller
-/// for `kind` inside `storage` (at least kCcBoxBytes, max_align_t
-/// aligned). The caller owns the lifetime and must invoke the virtual
-/// destructor explicitly; nothing is heap-allocated.
+/// Construct the controller for `kind` inside `storage` (at least
+/// kCcBoxBytes, max_align_t aligned). The caller owns the lifetime and must
+/// invoke the virtual destructor explicitly; nothing is heap-allocated.
 CongestionControl* make_congestion_control_in(void* storage, CcKind kind,
                                               double mss_bytes,
                                               double initial_cwnd_bytes);

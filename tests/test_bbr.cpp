@@ -4,6 +4,7 @@
 // end-to-end bufferbloat counterfactual the ablation bench reports.
 #include <gtest/gtest.h>
 
+#include "cc_box.hpp"
 #include "tcp/bbr.hpp"
 #include "tcp_test_util.hpp"
 
@@ -36,7 +37,7 @@ Time feed_rounds(tcp::BbrCc& cc, Time start, int rounds, int pkts_per_round,
 }
 
 TEST(Bbr, FactoryAndName) {
-  auto cc = tcp::make_congestion_control(tcp::CcKind::kBbr, kMss, 4 * kMss);
+  testutil::CcBox cc(tcp::CcKind::kBbr, kMss, 4 * kMss);
   EXPECT_EQ(cc->name(), "bbr");
   EXPECT_STREQ(tcp::to_string(tcp::CcKind::kBbr), "bbr");
 }

@@ -1,8 +1,10 @@
-// Unit tests for congestion-control algorithms (Reno, BIC, CUBIC).
+// Unit tests for congestion-control algorithms (Reno, BIC, CUBIC) and the
+// placement factory every socket builds its controller with.
 #include "tcp/congestion_control.hpp"
 
 #include <gtest/gtest.h>
 
+#include "cc_box.hpp"
 #include "tcp/bic.hpp"
 #include "tcp/cubic.hpp"
 #include "tcp/reno.hpp"
@@ -10,12 +12,15 @@
 namespace qoesim::tcp {
 namespace {
 
+using testutil::CcBox;
+
 constexpr double kMss = 1460.0;
 const Time kRtt = Time::milliseconds(50);
 
 TEST(Factory, CreatesAllKinds) {
-  for (auto kind : {CcKind::kReno, CcKind::kBic, CcKind::kCubic}) {
-    auto cc = make_congestion_control(kind, kMss, 4 * kMss);
+  for (auto kind : {CcKind::kReno, CcKind::kBic, CcKind::kCubic,
+                    CcKind::kVegas, CcKind::kBbr}) {
+    CcBox cc(kind, kMss, 4 * kMss);
     EXPECT_EQ(cc->name(), to_string(kind));
     EXPECT_DOUBLE_EQ(cc->cwnd_bytes(), 4 * kMss);
     EXPECT_TRUE(cc->in_slow_start());
@@ -173,7 +178,7 @@ TEST(Cubic, TimeoutResetsEpoch) {
 class AllCcs : public ::testing::TestWithParam<CcKind> {};
 
 TEST_P(AllCcs, WindowAlwaysPositiveUnderRandomEvents) {
-  auto cc = make_congestion_control(GetParam(), kMss, 4 * kMss);
+  CcBox cc(GetParam(), kMss, 4 * kMss);
   Time now;
   for (int i = 0; i < 2000; ++i) {
     now += Time::milliseconds(10);
@@ -193,7 +198,7 @@ TEST_P(AllCcs, WindowAlwaysPositiveUnderRandomEvents) {
 }
 
 TEST_P(AllCcs, MonotoneGrowthBetweenLosses) {
-  auto cc = make_congestion_control(GetParam(), kMss, 2 * kMss);
+  CcBox cc(GetParam(), kMss, 2 * kMss);
   Time now;
   double prev = cc->cwnd_bytes();
   for (int i = 0; i < 500; ++i) {

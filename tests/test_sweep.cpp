@@ -13,8 +13,10 @@
 
 #include "core/experiment.hpp"
 #include "core/heatmap.hpp"
+#include "net/topology.hpp"
 #include "sim/event.hpp"
 #include "sim/random.hpp"
+#include "sim/simulation.hpp"
 
 namespace qoesim::core {
 namespace {
@@ -192,6 +194,54 @@ TEST(SweepRunner, SchedulerStatsAreThreadCountInvariant) {
     EXPECT_EQ(parallel.cancelled, serial.cancelled) << "jobs " << jobs;
     EXPECT_EQ(parallel.rescheduled, serial.rescheduled) << "jobs " << jobs;
   }
+}
+
+// The [node] counters every bench prints, and its zero-blackhole exit, read
+// the Node::StatsFold each cell's Topology folds its nodes into when they
+// are destroyed; the sums must not depend on the worker count either.
+TEST(SweepRunner, NodeStatsAreThreadCountInvariant) {
+  auto run_cells = [](unsigned jobs) {
+    net::Node::StatsFold fold;
+    SweepRunner(jobs).for_each(24, [&fold](std::size_t i) {
+      // Per cell: i+1 datagrams to a bound port, one to an unbound port
+      // and one to a node that does not exist.
+      Simulation sim;
+      net::Topology topo(sim, &fold);
+      auto& a = topo.add_node("a");
+      auto& b = topo.add_node("b");
+      const net::LinkSpec spec;
+      topo.connect(a, b, spec, spec);
+      topo.compute_routes();
+      b.bind_connection(net::Protocol::kUdp, 5000, a.id(), 6000,
+                        [](net::Packet&&) {});
+      auto send = [&a](net::NodeId dst, std::uint32_t port) {
+        net::Packet p;
+        p.src = a.id();
+        p.dst = dst;
+        p.proto = net::Protocol::kUdp;
+        p.size_bytes = 200;
+        p.udp.src_port = 6000;
+        p.udp.dst_port = port;
+        a.send(std::move(p));
+      };
+      for (std::size_t k = 0; k <= i; ++k) send(b.id(), 5000);
+      send(b.id(), 5001);
+      send(99, 5000);
+      sim.run();
+    });
+    return fold.snapshot();
+  };
+
+  const net::Node::Stats serial = run_cells(1);
+  EXPECT_EQ(serial.delivered, (24u * 25u) / 2u);
+  EXPECT_EQ(serial.undelivered, 24u);
+  EXPECT_EQ(serial.unrouted, 24u);
+  EXPECT_EQ(serial.binds, 24u);
+  const net::Node::Stats parallel = run_cells(4);
+  EXPECT_EQ(parallel.delivered, serial.delivered);
+  EXPECT_EQ(parallel.undelivered, serial.undelivered);
+  EXPECT_EQ(parallel.unrouted, serial.unrouted);
+  EXPECT_EQ(parallel.binds, serial.binds);
 }
 
 // append_grid routed through a parallel runner must produce the exact

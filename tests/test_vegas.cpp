@@ -2,6 +2,7 @@
 // counterfactual.
 #include <gtest/gtest.h>
 
+#include "cc_box.hpp"
 #include "tcp/vegas.hpp"
 #include "tcp_test_util.hpp"
 
@@ -14,7 +15,7 @@ using testutil::make_sink;
 constexpr double kMss = 1460.0;
 
 TEST(Vegas, FactoryAndName) {
-  auto cc = tcp::make_congestion_control(tcp::CcKind::kVegas, kMss, 4 * kMss);
+  testutil::CcBox cc(tcp::CcKind::kVegas, kMss, 4 * kMss);
   EXPECT_EQ(cc->name(), "vegas");
   EXPECT_STREQ(tcp::to_string(tcp::CcKind::kVegas), "vegas");
 }
