@@ -12,9 +12,12 @@
 // Three cooperating pieces:
 //
 //   raw slot pool   fixed slot size locked by the first allocation;
-//                   doubling slabs (64 slots up), LIFO free list. The
-//                   socket's public API stays shared_ptr, but the memory
-//                   behind it is arena slots.
+//                   slabs that follow peak occupancy (the first holds one
+//                   slot, each later one as many as all earlier slabs
+//                   together, capped at 64 -- BlockRing's rule), lowest
+//                   fresh slot first, LIFO free list. The socket's public
+//                   API stays shared_ptr, but the memory behind it is
+//                   arena slots.
 //   handle registry adopt() pins a flow with a strong ref and returns a
 //                   4-byte FlowHandle (slot:24 | gen:8). Demux handlers
 //                   and timer callbacks capture {arena*, handle} instead
@@ -28,7 +31,7 @@
 //                   cold flow state (SACK scoreboard, out-of-order set,
 //                   retransmit marks) -- grabbed on the first loss or
 //                   reorder event, handed back when the flow returns to
-//                   steady state.
+//                   steady state. Grows by the same rule as the hot pool.
 //
 // Lifetime: the slabs live in a shared Core so a socket an application
 // still references after its node died can return its slot safely --
@@ -41,6 +44,7 @@
 // only from the shard running the node's simulation; it carries no locks.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -202,18 +206,33 @@ class FlowArena {
     std::vector<std::unique_ptr<unsigned char[]>> cold_slabs_;
     std::vector<void*> cold_free_;
     std::size_t cold_slot_bytes_ = 0;
-    std::uint32_t cold_next_slab_slots_ = 64;
+    std::uint32_t cold_slots_ = 0;
+
+    static constexpr std::uint32_t kMaxSlabSlots = 64;
 
     static std::size_t round_up(std::size_t v, std::size_t a) {
       return (v + a - 1) / a * a;
     }
 
-    void grow_hot(std::uint32_t nslots) {
+    /// Next slab size given the slots already pooled: one, then as many
+    /// as all earlier slabs together, capped -- so a one-flow node pays
+    /// for one slot and a large pool rounds up by fewer than 64 slots.
+    static std::uint32_t next_slab_slots(std::uint32_t pooled) {
+      return std::clamp<std::uint32_t>(pooled, 1, kMaxSlabSlots);
+    }
+
+    void grow_hot() {
+      const auto pooled = static_cast<std::uint32_t>(meta_.size());
+      const std::uint32_t nslots = next_slab_slots(pooled);
       Slab slab;
-      slab.bytes = std::make_unique<unsigned char[]>(nslots * slot_bytes_);
-      slab.first_slot = static_cast<std::uint32_t>(meta_.size());
+      // Uninitialised: allocate_shared constructs each slot before use.
+      slab.bytes = std::make_unique_for_overwrite<unsigned char[]>(
+          nslots * slot_bytes_);
+      slab.first_slot = pooled;
       slab.nslots = nslots;
-      meta_.resize(meta_.size() + nslots);
+      meta_.resize(pooled + nslots);
+      // Room for every slot, so raw_deallocate never reallocates.
+      free_.reserve(meta_.size());
       // LIFO free list: push in reverse so the lowest slot comes out
       // first (deterministic, matches the scheduler arena's contract).
       for (std::uint32_t i = nslots; i > 0; --i) {
@@ -234,9 +253,7 @@ class FlowArena {
       } else if (bytes > slot_bytes_) {
         throw std::invalid_argument("FlowArena: slot size already fixed");
       }
-      if (free_.empty()) {
-        grow_hot(slabs_.empty() ? 64 : slabs_.back().nslots * 2);
-      }
+      if (free_.empty()) grow_hot();
       const std::uint32_t slot = free_.back();
       free_.pop_back();
       last_alloc_slot_ = slot;
@@ -257,8 +274,8 @@ class FlowArena {
       throw std::out_of_range("FlowArena: bad slot");
     }
 
-    /// Slab walk (doubling slabs: ~20 entries even at 1M flows); only on
-    /// the per-flow open/close path, never per packet.
+    /// Slab walk (at most N/64 + 7 slabs for N pooled slots); only on the
+    /// per-flow open/close path, never per packet.
     std::uint32_t slot_of(const void* p) const {
       for (const Slab& s : slabs_) {
         const unsigned char* base = s.bytes.get();
@@ -325,9 +342,12 @@ class FlowArena {
         throw std::invalid_argument("FlowArena: cold slot size already fixed");
       }
       if (cold_free_.empty()) {
-        const std::uint32_t n = cold_next_slab_slots_;
-        cold_next_slab_slots_ *= 2;
-        auto slab = std::make_unique<unsigned char[]>(n * cold_slot_bytes_);
+        const std::uint32_t n = next_slab_slots(cold_slots_);
+        cold_slots_ += n;
+        // Uninitialised: the caller constructs its cold state in place.
+        auto slab = std::make_unique_for_overwrite<unsigned char[]>(
+            n * cold_slot_bytes_);
+        cold_free_.reserve(cold_slots_);  // so cold_free never reallocates
         for (std::uint32_t i = n; i > 0; --i) {
           cold_free_.push_back(slab.get() + (i - 1) * cold_slot_bytes_);
         }

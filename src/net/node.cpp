@@ -186,19 +186,20 @@ void Node::unbind_listener(Protocol proto, std::uint32_t local_port) {
 
 void Node::note_bound(std::uint32_t local_port) {
   if (local_port < kEphemeralLo || local_port > kEphemeralHi) return;
-  if (ephemeral_use_.empty()) {
-    ephemeral_use_.resize(kEphemeralHi - kEphemeralLo + 1, 0);
-  }
-  ++ephemeral_use_[local_port - kEphemeralLo];
+  const std::uint32_t i = local_port - kEphemeralLo;
+  if (i >= ephemeral_use_.size()) ephemeral_use_.resize(i + 1, 0);
+  ++ephemeral_use_[i];
 }
 
 void Node::note_unbound(std::uint32_t local_port) {
   if (local_port < kEphemeralLo || local_port > kEphemeralHi) return;
-  if (!ephemeral_use_.empty()) --ephemeral_use_[local_port - kEphemeralLo];
+  const std::uint32_t i = local_port - kEphemeralLo;
+  if (i < ephemeral_use_.size()) --ephemeral_use_[i];
 }
 
 bool Node::port_in_use(std::uint32_t port) const {
-  return !ephemeral_use_.empty() && ephemeral_use_[port - kEphemeralLo] != 0;
+  const std::uint32_t i = port - kEphemeralLo;
+  return i < ephemeral_use_.size() && ephemeral_use_[i] != 0;
 }
 
 std::uint32_t Node::allocate_port() {

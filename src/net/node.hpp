@@ -211,13 +211,16 @@ class QOESIM_SHARD_PLANE Node {
   static constexpr std::uint32_t kEphemeralHi = 65535;
   std::uint32_t next_ephemeral_ = kEphemeralLo;
   /// Per-ephemeral-port count of live local bindings (connections and
-  /// listeners), sized lazily on first use; lets allocate_port() skip
-  /// still-bound ports after wrapping around.
+  /// listeners), indexed from kEphemeralLo and grown only up to the
+  /// highest port ever bound (an index past the end is free); lets
+  /// allocate_port() skip still-bound ports after wrapping around.
   std::vector<std::uint16_t> ephemeral_use_;
 
-  /// Pooled flow-state arena (slots + cold blocks). Declared after the
-  /// demux so handlers (which capture only a Core ref + handle) are freed
-  /// first on destruction; ~Node drops the arena's socket refs before
+  /// Pooled flow-state arena (slots + cold blocks). Members die in reverse
+  /// declaration order, so the arena is destroyed *before* the demux. That
+  /// is safe only because each TCP handler still bound there captures a
+  /// FlowArena::Ref (shared ownership of the arena's slabs) plus a handle,
+  /// not the arena itself. ~Node drops the arena's socket refs before
   /// folding stats so flows_closed counts teardown.
   core::FlowArena flows_;
 

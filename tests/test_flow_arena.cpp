@@ -1,15 +1,17 @@
 // FlowArena conformance: pooled slot lifecycle (allocate_shared through
 // the arena allocator), generation-stamped handle semantics (stale
 // resolves null, also after slot reuse), LIFO slot-reuse order, slab
-// growth staying flat through steady-state churn, cold-pool round trips,
-// the ref-cycle break on release_all, and a randomized churn fuzz
-// against a std::map reference model.
+// growth following peak occupancy and staying flat through steady-state
+// churn, cold-pool round trips, the ref-cycle break on release_all, and
+// a randomized churn fuzz against a std::map reference model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "core/flow_arena.hpp"
@@ -96,12 +98,12 @@ TEST(FlowArena, SlotReuseIsLifoAndSlabGrowthStaysFlat) {
   FlowArena arena;
   std::vector<std::shared_ptr<Flow>> flows;
   std::vector<FlowHandle> handles;
-  // First slab is 64 slots; fill it exactly.
+  // Slabs of 1+1+2+4+8+16+32 slots hold exactly 64 flows.
   for (int i = 0; i < 64; ++i) {
     flows.push_back(make_flow(arena));
     handles.push_back(arena.adopt(flows.back(), flows.back().get()));
   }
-  EXPECT_EQ(arena.stats().slab_growths, 1u);
+  EXPECT_EQ(arena.stats().slab_growths, 7u);
 
   // Steady-state churn: release/replace in waves; the pool never grows
   // again and freed slots come back most-recently-freed first.
@@ -119,13 +121,46 @@ TEST(FlowArena, SlotReuseIsLifoAndSlabGrowthStaysFlat) {
     EXPECT_EQ(static_cast<const void*>(flows[13].get()), freed);
     handles[13] = arena.adopt(flows[13], flows[13].get());
   }
-  EXPECT_EQ(arena.stats().slab_growths, 1u);
+  EXPECT_EQ(arena.stats().slab_growths, 7u);
   EXPECT_EQ(arena.stats().peak_live, 64u);
 
-  // The 65th concurrent flow doubles the pool (one more slab, 128 slots).
+  // The 65th concurrent flow adds one more slab (64 slots, the cap).
   flows.push_back(make_flow(arena));
   handles.push_back(arena.adopt(flows.back(), flows.back().get()));
-  EXPECT_EQ(arena.stats().slab_growths, 2u);
+  EXPECT_EQ(arena.stats().slab_growths, 8u);
+}
+
+TEST(FlowArena, SlabsFollowPeakOccupancy) {
+  // Slab sizes 1, 1, 2, 4, ..., 32, then 64 each: a node with one flow
+  // pays for one slot, and a large pool over-provisions by < 64 slots.
+  struct Case {
+    int peak;
+    std::uint64_t growths;
+  };
+  for (const Case c : {Case{1, 1}, Case{2, 2}, Case{64, 7}, Case{65, 8},
+                       Case{200, 10}}) {
+    FlowArena arena;
+    std::vector<std::shared_ptr<Flow>> flows;
+    std::vector<FlowHandle> handles;
+    for (int i = 0; i < c.peak; ++i) {
+      flows.push_back(make_flow(arena));
+      handles.push_back(arena.adopt(flows.back(), flows.back().get()));
+      // Fresh slots still come out lowest-first across slab boundaries.
+      ASSERT_EQ(handles.back().slot(), static_cast<std::uint32_t>(i));
+    }
+    EXPECT_EQ(arena.stats().slab_growths, c.growths) << "peak " << c.peak;
+    // Closing and reopening every flow reuses the pool without growth.
+    for (int i = 0; i < c.peak; ++i) {
+      arena.release(handles[i]);
+      flows[i].reset();
+    }
+    for (int i = 0; i < c.peak; ++i) {
+      flows[i] = make_flow(arena);
+      handles[i] = arena.adopt(flows[i], flows[i].get());
+    }
+    EXPECT_EQ(arena.stats().slab_growths, c.growths) << "peak " << c.peak;
+    EXPECT_EQ(arena.stats().peak_live, static_cast<std::uint64_t>(c.peak));
+  }
 }
 
 TEST(FlowArena, ColdPoolRoundTrip) {
@@ -142,6 +177,24 @@ TEST(FlowArena, ColdPoolRoundTrip) {
   // hand back an undersized block.
   EXPECT_THROW(arena.cold_alloc(4096), std::invalid_argument);
   EXPECT_EQ(arena.stats().cold_peak_live, 2u);
+
+  // Past 64 live blocks (several slabs, the last at the 64-block cap):
+  // every block is distinct and writable, and they all come back LIFO.
+  std::vector<void*> blocks{a, b};
+  while (blocks.size() < 150) blocks.push_back(arena.cold_alloc(200));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    std::memset(blocks[i], static_cast<int>(i), 200);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(*static_cast<unsigned char*>(blocks[i]),
+              static_cast<unsigned char>(i));
+  }
+  EXPECT_EQ(std::set<void*>(blocks.begin(), blocks.end()).size(), 150u);
+  EXPECT_EQ(arena.stats().cold_live, 150u);
+  EXPECT_EQ(arena.stats().cold_peak_live, 150u);
+  for (void* p : blocks) arena.cold_free(p);
+  EXPECT_EQ(arena.stats().cold_live, 0u);
+  EXPECT_EQ(arena.cold_alloc(200), blocks.back());
 }
 
 TEST(FlowArena, ChurnFuzzAgainstMapReference) {
